@@ -185,12 +185,14 @@ let write_flight_bundle name =
 
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value
+    & opt int (Domain.recommended_domain_count ())
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Shard the campaign across $(docv) worker domains (default 1: \
-           run serially on this domain). The merged report is identical \
-           whatever $(docv) is — only wall_s, the elapsed time, differs.")
+          "Worker domains to shard the work across (default: the \
+           machine's recommended domain count; 1 runs serially on this \
+           domain). Reports are identical whatever $(docv) is — only the \
+           elapsed time differs.")
 
 (* ---- inspect ---- *)
 
@@ -356,155 +358,64 @@ let pil_cmd =
             ~docv:"SECONDS" ~doc:"Control period (default 5 ms; RS-232 limits it).")
           $ fixed_arg $ baud $ periods $ trace_arg $ metrics_arg)
 
-(* ---- diff ---- *)
+(* ---- campaign jobs: diff and faultsim ---- *)
 
-let scenario_or_die ref_ =
-  match Fault_scenario.find ref_ with
-  | Ok s -> s
-  | Error e -> die "%s" e
+(* Both commands build a [Job.t] from their flags and hand it here; the
+   CLI adds what serve does not have: flight tracks and bundles, the
+   partial report flushed if the run dies, a pool sized by --jobs, the
+   stdout table and the JSON report. *)
 
-let injector_of scenario seed =
-  let inj = Fault_inject.arm ~seed scenario in
-  {
-    Silvm_diff.inj_sensors =
-      (fun ~step:_ ~time codes ->
-        Array.mapi
-          (fun slot v -> Fault_inject.sensor inj ~slot ~time v land 0xFFFF)
-          codes);
-    inj_active = (fun ~time -> Fault_inject.active_names inj ~time);
-  }
+let workers_of jobs = if jobs >= 1 then jobs else Domain.recommended_domain_count ()
 
-let engine_name = function
-  | Silvm_diff.Interp -> "interp"
-  | Silvm_diff.Compiled -> "compiled"
-  | Silvm_diff.Both -> "both"
+(* No pool for a single task: it would only move the work to a worker. *)
+let with_workers jobs ~tasks f =
+  let workers = min (workers_of jobs) tasks in
+  if workers <= 1 then f None
+  else Exec_pool.with_pool ~workers (fun pool -> f (Some pool))
 
-let engine_of_name = function
-  | "interp" -> Some Silvm_diff.Interp
-  | "compiled" -> Some Silvm_diff.Compiled
-  | "both" -> Some Silvm_diff.Both
-  | _ -> None
+let job_or_die = function Ok job -> job | Error msg -> die "%s" msg
 
-let divergence_json (d : Silvm_diff.divergence option) =
-  let open Bench_json in
-  match d with
-  | None -> Null
+let print_diff_run (job : Job.diff) scenario seed (r : Silvm_diff.report) =
+  let rate t = if t > 0.0 then float_of_int r.Silvm_diff.steps_run /. t else 0.0 in
+  Printf.printf "model              : %s\n" (Job.model_name job.Job.model);
+  Printf.printf "engine             : %s\n" (Job.engine_name job.Job.engine);
+  Option.iter
+    (fun s ->
+      Printf.printf "fault scenario     : %s (seed %d)\n" s.Fault_scenario.sname seed)
+    scenario;
+  Printf.printf "signals compared   : %d per step\n" r.Silvm_diff.signals;
+  Printf.printf "steps              : %d / %d\n" r.Silvm_diff.steps_run
+    r.Silvm_diff.steps_requested;
+  Printf.printf "MIL rate           : %.0f steps/s\n" (rate r.Silvm_diff.mil_seconds);
+  Printf.printf "SIL rate           : %.0f steps/s\n" (rate r.Silvm_diff.sil_seconds);
+  match r.Silvm_diff.divergence with
+  | None -> Printf.printf "result             : zero divergence\n"
   | Some d ->
-      Obj
-        [
-          ("step", Int d.Silvm_diff.d_step);
-          ("time", Float d.Silvm_diff.d_time);
-          ("block", Str d.Silvm_diff.d_block);
-          ("port", Int d.Silvm_diff.d_port);
-          ("mil", Str d.Silvm_diff.d_mil);
-          ("sil", Str d.Silvm_diff.d_sil);
-          ( "active_faults",
-            Arr (List.map (fun f -> Str f) d.Silvm_diff.d_faults) );
-        ]
+      Printf.printf
+        "result             : DIVERGENCE at step %d (t=%g) on %s port %d\n"
+        d.Silvm_diff.d_step d.Silvm_diff.d_time d.Silvm_diff.d_block
+        d.Silvm_diff.d_port;
+      Printf.printf "                     MIL %s  vs  SIL %s\n" d.Silvm_diff.d_mil
+        d.Silvm_diff.d_sil;
+      if d.Silvm_diff.d_faults <> [] then
+        Printf.printf "                     active faults: %s\n"
+          (String.concat ", " d.Silvm_diff.d_faults)
 
-(* Seed sweep: one differential run per fault seed 1..N, sharded over a
-   domain pool. Each domain builds its own model/plant context (the
-   compile dedups through the content-hashed cache); reports merge in
-   seed order, so the sweep output — table and JSON, which carries no
-   timing field — is identical whatever --jobs is. *)
-let diff_sweep ~cfg ~mcu ~float_mode ~opt ~engine ~steps ~ulp ~scenario ~seeds
-    ~jobs ~json model_name =
-  let mk_ctx () =
-    match model_name with
-    | "servo" ->
-        let built = build_or_fail cfg in
-        let comp = Compile_cache.compile built.Servo_system.controller in
-        `Servo (built, comp)
-    | "isr-demo" ->
-        let m, project = Check.hazard_demo ~mcu () in
-        let comp = Compile_cache.compile m in
-        `Isr (project, comp)
-    | other -> die "unknown model %S (choose servo or isr-demo)" other
-  in
-  let run_one ctx seed =
-    Flight.begin_track ~id:seed ~name:scenario.Fault_scenario.sname;
-    let injector = Some (injector_of scenario seed) in
-    try
-      match ctx with
-      | `Servo (built, comp) ->
-          let plant = Servo_system.pil_plant built in
-          let driver = Servo_system.pil_driver built in
-          Silvm_diff.run ~steps ~float_mode ~opt ~engine
-            ~plant:(Silvm_diff.Plant (plant, driver))
-            ?injector ~name:"servo" ~project:built.Servo_system.project comp
-      | `Isr (project, comp) ->
-          let stimulus k = [| k * 37 mod 4096 |] in
-          Silvm_diff.run ~steps ~float_mode ~opt ~engine ~stimulus ?injector
-            ~name:"isr_demo" ~project comp
-    with Target.Codegen_error msg -> die "code generation failed: %s" msg
-  in
-  let name = if model_name = "isr-demo" then "isr_demo" else model_name in
-  let ctx_key = Domain.DLS.new_key mk_ctx in
-  (* build on this domain first: config errors die here, not on a
-     worker, and the workers' compiles then hit the cache *)
-  ignore (Domain.DLS.get ctx_key);
-  (* completed runs accumulate here so a `die` mid-sweep still leaves a
-     partial report on disk (satellite of the flight-recorder work) *)
-  let completed_lock = Mutex.create () in
-  let completed = ref [] in
-  let sweep_done = ref false in
-  register_exit_flush (fun () ->
-      write_flight_bundle name;
-      if json && not !sweep_done then begin
-        let runs =
-          List.sort (fun (a, _) (b, _) -> compare a b) !completed
-        in
-        let path = Printf.sprintf "DIFF_%s.partial.json" name in
-        let open Bench_json in
-        write ~path
-          (Obj
-             [
-               ("name", Str name);
-               ("partial", Bool true);
-               ("scenario", Str scenario.Fault_scenario.sname);
-               ("seeds_requested", Int seeds);
-               ("seeds_done", Int (List.length runs));
-               ( "runs",
-                 Arr
-                   (List.map
-                      (fun (seed, r) ->
-                        Obj
-                          [
-                            ("seed", Int seed);
-                            ("steps_run", Int r.Silvm_diff.steps_run);
-                            ( "divergence",
-                              divergence_json r.Silvm_diff.divergence );
-                          ])
-                      runs) );
-             ]);
-        Printf.eprintf "partial JSON report written to %s\n%!" path
-      end);
-  let f i =
-    let r = run_one (Domain.DLS.get ctx_key) (i + 1) in
-    Mutex.lock completed_lock;
-    completed := (i + 1, r) :: !completed;
-    Mutex.unlock completed_lock;
-    r
-  in
-  let reports =
-    if jobs <= 1 then Array.init seeds f
-    else
-      Exec_pool.with_pool ~workers:jobs (fun pool ->
-          Exec_pool.run_map pool seeds f)
-  in
-  sweep_done := true;
-  Printf.printf "model              : %s\n" name;
+let print_diff_sweep (job : Job.diff) scenario reports =
+  let seeds = List.length reports in
+  Printf.printf "model              : %s\n" (Job.model_name job.Job.model);
   Printf.printf "fault scenario     : %s (seeds 1..%d)\n"
-    scenario.Fault_scenario.sname seeds;
+    (Option.fold ~none:"-" ~some:(fun s -> s.Fault_scenario.sname) scenario)
+    seeds;
   Printf.printf "signals compared   : %d per step\n"
-    reports.(0).Silvm_diff.signals;
-  Printf.printf "steps per run      : %d\n" steps;
+    (snd (List.hd reports)).Silvm_diff.signals;
+  Printf.printf "steps per run      : %d\n" job.Job.steps;
   let t = Table.create [ "seed"; "result" ] in
-  Array.iteri
-    (fun i r ->
+  List.iter
+    (fun (seed, r) ->
       Table.add_row t
         [
-          string_of_int (i + 1);
+          string_of_int seed;
           (match r.Silvm_diff.divergence with
           | None -> "ok"
           | Some d ->
@@ -514,141 +425,110 @@ let diff_sweep ~cfg ~mcu ~float_mode ~opt ~engine ~steps ~ulp ~scenario ~seeds
     reports;
   Table.print t;
   let diverged =
-    Array.fold_left
-      (fun a r -> if r.Silvm_diff.divergence = None then a else a + 1)
-      0 reports
+    List.length (List.filter (fun (_, r) -> r.Silvm_diff.divergence <> None) reports)
   in
-  Printf.printf "divergences        : %d / %d\n" diverged seeds;
-  (if json then
-     let path = Printf.sprintf "DIFF_%s.json" name in
-     let open Bench_json in
-     write ~path
-       (Obj
-          [
-            ("name", Str name);
-            ("git_rev", Str (git_rev ()));
-            ("engine", Str (engine_name engine));
-            ("steps_requested", Int steps);
-            ("signals", Int reports.(0).Silvm_diff.signals);
-            ("float_ulp", Int ulp);
-            ("scenario", Str scenario.Fault_scenario.sname);
-            ("seeds", Int seeds);
-            ("divergences", Int diverged);
-            ( "runs",
-              Arr
-                (List.mapi
-                   (fun i r ->
-                     Obj
-                       [
-                         ("seed", Int (i + 1));
-                         ("steps_run", Int r.Silvm_diff.steps_run);
-                         ("divergence", divergence_json r.Silvm_diff.divergence);
-                       ])
-                   (Array.to_list reports)) );
-          ]);
-     Printf.printf "JSON report written to %s\n" path);
-  write_flight_bundle name;
-  if diverged = 0 then 0 else 1
+  Printf.printf "divergences        : %d / %d\n" diverged seeds
 
-let diff mcu period fixed model_name steps ulp opt engine scenario_ref
-    fault_seed seeds jobs json no_flight profile trace metrics =
+let print_campaign (f : Job.faultsim) (r : Fault_campaign.result) =
+  Printf.printf "model              : servo\n";
+  Printf.printf "scenario           : %s\n" r.Fault_campaign.scenario.Fault_scenario.sname;
+  List.iter
+    (fun f -> Printf.printf "fault              : %s\n" (Fault.name f))
+    r.Fault_campaign.scenario.Fault_scenario.faults;
+  Printf.printf "runs               : %d seeds x %.2f s (%d steps)\n" f.Job.seeds
+    r.Fault_campaign.t_end r.Fault_campaign.steps_per_run;
+  let fmt_opt = function
+    | Some s -> Printf.sprintf "%6.1f ms" (1e3 *. s)
+    | None -> "      --"
+  in
+  let t =
+    Table.create
+      [ "seed"; "detect"; "recovery"; "degraded"; "safestop"; "max"; "resid rms";
+        "bites" ]
+  in
+  List.iter
+    (fun (run : Fault_campaign.run_result) ->
+      Table.add_row t
+        [
+          string_of_int run.Fault_campaign.seed;
+          fmt_opt run.Fault_campaign.detection_s;
+          fmt_opt run.Fault_campaign.recovery_s;
+          string_of_int run.Fault_campaign.steps_degraded;
+          string_of_int run.Fault_campaign.steps_safestop;
+          string_of_int run.Fault_campaign.max_mode;
+          Printf.sprintf "%.2f" run.Fault_campaign.residual_rms;
+          string_of_int run.Fault_campaign.wdog_bites;
+        ])
+    r.Fault_campaign.runs;
+  Table.print t;
+  List.iter
+    (fun (seed, e) ->
+      Printf.printf "failure            : seed %d %s (%s)\n" seed
+        (Supervise.error_class e) (Supervise.error_message e))
+    r.Fault_campaign.failures;
+  if f.Job.policy <> None then
+    Printf.printf "supervision        : %d/%d seeds ok, %d failed, %d retries\n"
+      (List.length r.Fault_campaign.runs)
+      f.Job.seeds
+      (List.length r.Fault_campaign.failures)
+      r.Fault_campaign.retries_total;
+  let yes b = if b then "all runs" else "NOT ALL" in
+  Printf.printf "detected           : %s\n" (yes (Fault_campaign.all_detected r));
+  Printf.printf "recovered          : %s\n" (yes (Fault_campaign.all_recovered r))
+
+let print_outcome = function
+  | Job.Diffed { job = { Job.seeds = Job.Seed seed; _ } as job; scenario; reports } ->
+      print_diff_run job scenario seed (snd (List.hd reports))
+  | Job.Diffed { job; scenario; reports } -> print_diff_sweep job scenario reports
+  | Job.Campaign { job; result } -> print_campaign job result
+  | Job.Snapshot _ -> ()
+
+let report_paths kind name =
+  (Printf.sprintf "%s_%s.json" kind name, Printf.sprintf "%s_%s.partial.json" kind name)
+
+(* [json] is the report path and the partial report's, if asked for. *)
+let run_cli_job ~cfg ~jobs ~tasks ?json job =
+  let name = Job.name job in
+  let progress = Job.progress () in
+  let finished = ref false in
+  register_exit_flush (fun () ->
+      write_flight_bundle name;
+      match (json, Job.partial_json progress) with
+      | Some (_, path), Some doc when not !finished ->
+          Bench_json.write ~path doc;
+          Printf.eprintf "partial JSON report written to %s\n%!" path
+      | _ -> ());
+  (match job with
+  | Job.Diff { Job.seeds = Job.Seed seed; _ } -> Flight.begin_track ~id:seed ~name
+  | _ -> ());
+  let outcome =
+    with_workers jobs ~tasks @@ fun pool ->
+    try Job.run ?pool ~progress cfg job with
+    | Supervise.Bad_request msg | Invalid_argument msg -> die "%s" msg
+    | Target.Codegen_error msg -> die "code generation failed: %s" msg
+  in
+  finished := true;
+  print_outcome outcome;
+  Option.iter
+    (fun (path, _) ->
+      Bench_json.write ~path (Job.report_json outcome);
+      Printf.printf "JSON report written to %s\n" path)
+    json;
+  write_flight_bundle name;
+  Job.exit_code outcome
+
+(* ---- diff ---- *)
+
+let diff mcu period fixed model steps ulp opt engine scenario fault_seed seeds
+    jobs json no_flight profile trace metrics =
   with_obs ~profile trace metrics @@ fun () ->
   enable_flight no_flight;
-  let scenario = Option.map scenario_or_die scenario_ref in
-  let injector = Option.map (fun s -> injector_of s fault_seed) scenario in
-  let cfg =
-    (* fault scenarios exercise the supervisor's recovery paths *)
-    let c = config mcu period fixed in
-    if scenario = None then c else { c with Servo_system.with_supervisor = true }
+  let job =
+    job_or_die
+      (Job.diff_job ~model ~steps ~ulp ~opt ~engine ?scenario ?fault_seed ~seeds ())
   in
-  let float_mode = if ulp > 0 then Silvm_diff.Ulp ulp else Silvm_diff.Exact in
-  if seeds > 1 then
-    match scenario with
-    | None -> die "--seeds %d: a seed sweep varies the fault stream; give --scenario" seeds
-    | Some scn ->
-        diff_sweep ~cfg ~mcu ~float_mode ~opt ~engine ~steps ~ulp ~scenario:scn
-          ~seeds ~jobs ~json model_name
-  else
-  let fname = if model_name = "isr-demo" then "isr_demo" else model_name in
-  register_exit_flush (fun () -> write_flight_bundle fname);
-  Flight.begin_track ~id:fault_seed ~name:fname;
-  let name, report =
-    try
-      match model_name with
-      | "servo" ->
-          let built = build_or_fail cfg in
-          let comp = Compile.compile built.Servo_system.controller in
-          let plant = Servo_system.pil_plant built in
-          let driver = Servo_system.pil_driver built in
-          ( "servo",
-            Silvm_diff.run ~steps ~float_mode ~opt ~engine
-              ~plant:(Silvm_diff.Plant (plant, driver))
-              ?injector ~name:"servo" ~project:built.Servo_system.project comp )
-      | "isr-demo" ->
-          let m, project = Check.hazard_demo ~mcu () in
-          let comp = Compile.compile m in
-          (* deterministic sweep across the 12-bit ADC range *)
-          let stimulus k = [| k * 37 mod 4096 |] in
-          ( "isr_demo",
-            Silvm_diff.run ~steps ~float_mode ~opt ~engine ~stimulus ?injector
-              ~name:"isr_demo" ~project comp )
-      | other -> die "unknown model %S (choose servo or isr-demo)" other
-    with Target.Codegen_error msg -> die "code generation failed: %s" msg
-  in
-  let rate t =
-    if t > 0.0 then float_of_int report.Silvm_diff.steps_run /. t else 0.0
-  in
-  Printf.printf "model              : %s\n" name;
-  Printf.printf "engine             : %s\n" (engine_name engine);
-  (match scenario with
-  | Some s ->
-      Printf.printf "fault scenario     : %s (seed %d)\n" s.Fault_scenario.sname
-        fault_seed
-  | None -> ());
-  Printf.printf "signals compared   : %d per step\n" report.Silvm_diff.signals;
-  Printf.printf "steps              : %d / %d\n" report.Silvm_diff.steps_run
-    report.Silvm_diff.steps_requested;
-  Printf.printf "MIL rate           : %.0f steps/s\n"
-    (rate report.Silvm_diff.mil_seconds);
-  Printf.printf "SIL rate           : %.0f steps/s\n"
-    (rate report.Silvm_diff.sil_seconds);
-  (match report.Silvm_diff.divergence with
-  | None -> Printf.printf "result             : zero divergence\n"
-  | Some d ->
-      Printf.printf
-        "result             : DIVERGENCE at step %d (t=%g) on %s port %d\n"
-        d.Silvm_diff.d_step d.Silvm_diff.d_time d.Silvm_diff.d_block
-        d.Silvm_diff.d_port;
-      Printf.printf "                     MIL %s  vs  SIL %s\n"
-        d.Silvm_diff.d_mil d.Silvm_diff.d_sil;
-      if d.Silvm_diff.d_faults <> [] then
-        Printf.printf "                     active faults: %s\n"
-          (String.concat ", " d.Silvm_diff.d_faults));
-  (if json then
-     let path = Printf.sprintf "DIFF_%s.json" name in
-     let open Bench_json in
-     let divergence = divergence_json report.Silvm_diff.divergence in
-     write ~path
-       (Obj
-          [
-            ("name", Str name);
-            ("git_rev", Str (git_rev ()));
-            ("engine", Str (engine_name engine));
-            ("steps_requested", Int report.Silvm_diff.steps_requested);
-            ("steps_run", Int report.Silvm_diff.steps_run);
-            ("signals", Int report.Silvm_diff.signals);
-            ("float_ulp", Int ulp);
-            ( "scenario",
-              match scenario with
-              | Some s -> Str s.Fault_scenario.sname
-              | None -> Null );
-            ("mil_steps_per_s", Float (rate report.Silvm_diff.mil_seconds));
-            ("sil_steps_per_s", Float (rate report.Silvm_diff.sil_seconds));
-            ("divergence", divergence);
-          ]);
-     Printf.printf "JSON report written to %s\n" path);
-  write_flight_bundle name;
-  match report.Silvm_diff.divergence with None -> 0 | Some _ -> 1
+  let json = if json then Some (report_paths "DIFF" (Job.name job)) else None in
+  run_cli_job ~cfg:(config mcu period fixed) ~jobs ~tasks:seeds ?json job
 
 let diff_cmd =
   let model_arg =
@@ -663,12 +543,12 @@ let diff_cmd =
   in
   let steps =
     Arg.(
-      value & opt int 1000
+      value & opt int Job.default_diff.Job.steps
       & info [ "steps" ] ~docv:"N" ~doc:"Lock-steps to compare (default 1000).")
   in
   let ulp =
     Arg.(
-      value & opt int 0
+      value & opt int Job.default_diff.Job.ulp
       & info [ "ulp" ] ~docv:"N"
           ~doc:
             "Tolerate $(docv) representable values of float drift per signal \
@@ -689,7 +569,7 @@ let diff_cmd =
                ("interp", Silvm_diff.Interp);
                ("both", Silvm_diff.Both);
              ])
-          Silvm_diff.Compiled
+          Job.default_diff.Job.engine
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
             "SIL execution engine: $(b,compiled) (closure-compiled, the \
@@ -710,7 +590,7 @@ let diff_cmd =
   in
   let fault_seed =
     Arg.(
-      value & opt int 1
+      value & opt (some int) None
       & info [ "fault-seed" ] ~docv:"N"
           ~doc:"Seed of the fault injector's random stream (default 1).")
   in
@@ -785,9 +665,8 @@ let retries_arg =
 
 (* ---- faultsim ---- *)
 
-let faultsim mcu period fixed model_name scenario_ref seeds t_end jobs
-    on_error deadline_s retries list_scn json json_out no_flight trace metrics
-    =
+let faultsim mcu period fixed model_name scenario seeds t_end jobs on_error
+    deadline_s retries list_scn json json_out no_flight trace metrics =
   if list_scn then begin
     List.iter
       (fun s ->
@@ -809,132 +688,13 @@ let faultsim mcu period fixed model_name scenario_ref seeds t_end jobs
       | `Abort -> None
       | `Record -> Some (policy_of_flags ~deadline_s ~retries)
     in
-    let scenario = scenario_or_die scenario_ref in
-    let mk_subject () =
-      try
-        fst
-          (Servo_system.faultsim_subject ~config:(config mcu period fixed)
-             ~scenario ())
-      with Invalid_argument msg -> die "%s" msg
+    let job = job_or_die (Job.faultsim_job ~scenario ~seeds ~t_end ?policy ()) in
+    let json =
+      match json_out with
+      | Some p -> Some (p, p ^ ".partial")
+      | None -> if json then Some (report_paths "FAULT" (Job.name job)) else None
     in
-    (* completed runs accumulate so a `die` mid-campaign still leaves a
-       partial report on disk, next to any flight bundle *)
-    let want_json = json || json_out <> None in
-    let completed_lock = Mutex.create () in
-    let completed = ref [] in
-    let campaign_done = ref false in
-    let on_run rr =
-      Mutex.lock completed_lock;
-      completed := rr :: !completed;
-      Mutex.unlock completed_lock
-    in
-    register_exit_flush (fun () ->
-        write_flight_bundle model_name;
-        if want_json && not !campaign_done then begin
-          let runs =
-            List.sort
-              (fun (a : Fault_campaign.run_result) b ->
-                compare a.Fault_campaign.seed b.Fault_campaign.seed)
-              !completed
-          in
-          let path =
-            match json_out with
-            | Some p -> p ^ ".partial"
-            | None -> Printf.sprintf "FAULT_%s.partial.json" model_name
-          in
-          let open Bench_json in
-          let opt_f = function Some s -> Float s | None -> Null in
-          write ~path
-            (Obj
-               [
-                 ("partial", Bool true);
-                 ("model", Str model_name);
-                 ("scenario", Str scenario.Fault_scenario.sname);
-                 ("seeds_requested", Int seeds);
-                 ("seeds_done", Int (List.length runs));
-                 ( "runs",
-                   Arr
-                     (List.map
-                        (fun (r : Fault_campaign.run_result) ->
-                          Obj
-                            [
-                              ("seed", Int r.Fault_campaign.seed);
-                              ("detection_s", opt_f r.Fault_campaign.detection_s);
-                              ("recovery_s", opt_f r.Fault_campaign.recovery_s);
-                              ("wdog_bites", Int r.Fault_campaign.wdog_bites);
-                            ])
-                        runs) );
-               ]);
-          Printf.eprintf "partial JSON report written to %s\n%!" path
-        end);
-    let r =
-      if jobs <= 1 then
-        Fault_campaign.run ~t_end ~seeds ~scenario ~on_run ?policy
-          (mk_subject ())
-      else
-        Exec_pool.with_pool ~workers:jobs (fun pool ->
-            Fault_campaign.run_parallel ~t_end ~seeds ~pool ~scenario ~on_run
-              ?policy mk_subject)
-    in
-    campaign_done := true;
-    Printf.printf "model              : %s\n" model_name;
-    Printf.printf "scenario           : %s\n" r.Fault_campaign.scenario.Fault_scenario.sname;
-    List.iter
-      (fun f -> Printf.printf "fault              : %s\n" (Fault.name f))
-      r.Fault_campaign.scenario.Fault_scenario.faults;
-    Printf.printf "runs               : %d seeds x %.2f s (%d steps)\n" seeds
-      r.Fault_campaign.t_end r.Fault_campaign.steps_per_run;
-    let fmt_opt = function
-      | Some s -> Printf.sprintf "%6.1f ms" (1e3 *. s)
-      | None -> "      --"
-    in
-    let t =
-      Table.create
-        [ "seed"; "detect"; "recovery"; "degraded"; "safestop"; "max";
-          "resid rms"; "bites" ]
-    in
-    List.iter
-      (fun (run : Fault_campaign.run_result) ->
-        Table.add_row t
-          [
-            string_of_int run.Fault_campaign.seed;
-            fmt_opt run.Fault_campaign.detection_s;
-            fmt_opt run.Fault_campaign.recovery_s;
-            string_of_int run.Fault_campaign.steps_degraded;
-            string_of_int run.Fault_campaign.steps_safestop;
-            string_of_int run.Fault_campaign.max_mode;
-            Printf.sprintf "%.2f" run.Fault_campaign.residual_rms;
-            string_of_int run.Fault_campaign.wdog_bites;
-          ])
-      r.Fault_campaign.runs;
-    Table.print t;
-    List.iter
-      (fun (seed, e) ->
-        Printf.printf "failure            : seed %d %s (%s)\n" seed
-          (Supervise.error_class e) (Supervise.error_message e))
-      r.Fault_campaign.failures;
-    if policy <> None then
-      Printf.printf "supervision        : %d/%d seeds ok, %d failed, %d retries\n"
-        (List.length r.Fault_campaign.runs)
-        seeds
-        (List.length r.Fault_campaign.failures)
-        r.Fault_campaign.retries_total;
-    let detected = Fault_campaign.all_detected r in
-    let recovered = Fault_campaign.all_recovered r in
-    Printf.printf "detected           : %s\n" (if detected then "all runs" else "NOT ALL");
-    Printf.printf "recovered          : %s\n" (if recovered then "all runs" else "NOT ALL");
-    (match (json, json_out) with
-    | false, None -> ()
-    | _ ->
-        let path =
-          match json_out with
-          | Some p -> p
-          | None -> Printf.sprintf "FAULT_%s.json" model_name
-        in
-        Bench_json.write ~path (Fault_campaign.to_json ~model:model_name r);
-        Printf.printf "JSON report written to %s\n" path);
-    write_flight_bundle model_name;
-    if recovered && r.Fault_campaign.failures = [] then 0 else 1
+    run_cli_job ~cfg:(config mcu period fixed) ~jobs ~tasks:seeds ?json job
 
 let faultsim_cmd =
   let model_arg =
@@ -946,7 +706,7 @@ let faultsim_cmd =
   let scenario =
     Arg.(
       value
-      & opt string "encoder-dropout"
+      & opt string Job.default_faultsim.Job.scenario
       & info [ "scenario" ] ~docv:"NAME|FILE"
           ~doc:
             "Fault scenario: a built-in name (see $(b,--list)) or a \
@@ -954,13 +714,13 @@ let faultsim_cmd =
   in
   let seeds =
     Arg.(
-      value & opt int 5
+      value & opt int Job.default_faultsim.Job.seeds
       & info [ "seeds" ] ~docv:"N"
           ~doc:"Campaign size: one run per seed 1..$(docv) (default 5).")
   in
   let t_end =
     Arg.(
-      value & opt float 2.0
+      value & opt float Job.default_faultsim.Job.t_end
       & info [ "t-end" ] ~docv:"SECONDS" ~doc:"Length of each run (default 2 s).")
   in
   let list_scn =
@@ -1016,11 +776,6 @@ let faultsim_cmd =
    predecessors are still running), so the output is a deterministic
    function of the input whatever the pool schedule does. *)
 
-let serve_usage =
-  "faultsim SCENARIO [SEEDS [T_END]]  |  diff MODEL [STEPS [SCENARIO [SEED \
-   [ENGINE]]]]  |  stats  (SCENARIO '-' = none; ENGINE \
-   compiled|interp|both)"
-
 let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
     queue_hw =
   let cfg = config mcu period fixed in
@@ -1048,10 +803,8 @@ let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
   Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
   let t0 = Obs.now_ns () in
-  let workers = if jobs >= 1 then jobs else Domain.recommended_domain_count () in
-  let pool = Exec_pool.create ~workers () in
+  let pool = Exec_pool.create ~workers:(workers_of jobs) () in
   let lock = Mutex.create () in
-  let drained = Condition.create () in
   let pending = ref 0 in
   let jobs_done = ref 0 in
   let next_out = ref 0 in
@@ -1081,173 +834,22 @@ let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
            ~wall_s:((Obs.now_ns () -. t0) *. 1e-9));
       flush stdout
     end;
-    Condition.broadcast drained;
     Mutex.unlock lock
   in
   let open Bench_json in
-  (* runtime request errors (unknown scenario/model) are bad requests:
-     classified, never retried, worker survives *)
-  let scenario_or_fail s =
-    match Fault_scenario.find s with
-    | Ok scn -> scn
-    | Error e -> raise (Supervise.Bad_request e)
+  let jobs_done_now () =
+    Mutex.lock lock;
+    let d = !jobs_done in
+    Mutex.unlock lock;
+    d
   in
-  let run_faultsim scn_ref seeds t_end =
-    let scenario = scenario_or_fail scn_ref in
-    let subject, _ =
-      Servo_system.faultsim_subject ~config:cfg ~scenario ()
-    in
-    let r = Fault_campaign.run ~t_end ~seeds ~scenario subject in
-    let recovered = Fault_campaign.all_recovered r in
-    [
-      ("job", Str "faultsim");
-      ("scenario", Str r.Fault_campaign.scenario.Fault_scenario.sname);
-      ("seeds", Int seeds);
-      ("t_end", Float r.Fault_campaign.t_end);
-      ("all_detected", Bool (Fault_campaign.all_detected r));
-      ("all_recovered", Bool recovered);
-      ( "wdog_bites",
-        Int
-          (List.fold_left
-             (fun a x -> a + x.Fault_campaign.wdog_bites)
-             0 r.Fault_campaign.runs) );
-      ("wall_s", Float r.Fault_campaign.wall_s);
-      ("exit", Int (if recovered then 0 else 1));
-    ]
-  in
-  let run_diff model steps scn_ref seed engine =
-    let scenario = Option.map scenario_or_fail scn_ref in
-    let injector = Option.map (fun s -> injector_of s seed) scenario in
-    let dcfg =
-      if scenario = None then cfg
-      else { cfg with Servo_system.with_supervisor = true }
-    in
-    let name, report =
-      match model with
-      | "servo" ->
-          let built = Servo_system.build ~config:dcfg () in
-          let comp = Compile_cache.compile built.Servo_system.controller in
-          let plant = Servo_system.pil_plant built in
-          let driver = Servo_system.pil_driver built in
-          ( "servo",
-            Silvm_diff.run ~steps ~float_mode:Silvm_diff.Exact ~engine
-              ~plant:(Silvm_diff.Plant (plant, driver))
-              ?injector ~name:"servo" ~project:built.Servo_system.project comp
-          )
-      | "isr-demo" ->
-          let m, project = Check.hazard_demo ~mcu () in
-          let comp = Compile_cache.compile m in
-          let stimulus k = [| k * 37 mod 4096 |] in
-          ( "isr_demo",
-            Silvm_diff.run ~steps ~float_mode:Silvm_diff.Exact ~engine ~stimulus
-              ?injector ~name:"isr_demo" ~project comp )
-      | other ->
-          raise (Supervise.Bad_request (Printf.sprintf "unknown model %S" other))
-    in
-    let ok = report.Silvm_diff.divergence = None in
-    [
-      ("job", Str "diff");
-      ("model", Str name);
-      ("engine", Str (engine_name engine));
-      ("steps_run", Int report.Silvm_diff.steps_run);
-      ( "scenario",
-        match scenario with
-        | Some s -> Str s.Fault_scenario.sname
-        | None -> Null );
-      ("divergence", divergence_json report.Silvm_diff.divergence);
-      ("exit", Int (if ok then 0 else 1));
-    ]
-  in
-  (* live introspection of the metrics registry, as a queue job so it
-     serialises with the real work in submission order *)
-  let run_stats () =
-    let snap = Obs.snapshot () in
-    let done_now =
-      Mutex.lock lock;
-      let d = !jobs_done in
-      Mutex.unlock lock;
-      d
-    in
-    [
-      ("job", Str "stats");
-      ("jobs_done", Int done_now);
-      ("wall_s", Float (Telemetry.wall ((Obs.now_ns () -. t0) *. 1e-9)));
-      ( "counters",
-        Obj
-          (List.filter_map
-             (fun (k, v) -> if v = 0 then None else Some (k, Int v))
-             snap.Obs.counters) );
-      ("gauges", Obj (List.map (fun (k, v) -> (k, Float v)) snap.Obs.gauges));
-      ( "hists",
-        Obj
-          (List.filter_map
-             (fun (k, hs) ->
-               if hs.Obs.hs_count = 0 then None
-               else
-                 Some
-                   ( k,
-                     Obj
-                       [
-                         ("count", Int hs.Obs.hs_count);
-                         ("p50", Float hs.Obs.hs_p50);
-                         ("p95", Float hs.Obs.hs_p95);
-                         ("max", Float hs.Obs.hs_max);
-                       ] ))
-             snap.Obs.hists) );
-      ("exit", Int 0);
-    ]
-  in
-  (* Malformed lines are rejected at parse time — numeric arguments
-     validate eagerly, so a bad count never reaches a worker — and
-     reported as structured bad-request records instead of a free-form
-     failwith string. *)
-  let parse_job line =
-    let usage what = Error (Printf.sprintf "%s (expected: %s)" what serve_usage) in
-    let int_arg what s k =
-      match int_of_string_opt s with
-      | Some v -> k v
-      | None -> usage (Printf.sprintf "bad %s %S" what s)
-    in
-    let float_arg what s k =
-      match float_of_string_opt s with
-      | Some v -> k v
-      | None -> usage (Printf.sprintf "bad %s %S" what s)
-    in
-    match
-      String.split_on_char ' ' line
-      |> List.filter (fun s -> String.trim s <> "")
-    with
-    | [ "stats" ] -> Ok (fun () -> run_stats ())
-    | [ "faultsim"; scn ] -> Ok (fun () -> run_faultsim scn 5 2.0)
-    | [ "faultsim"; scn; seeds ] ->
-        int_arg "seed count" seeds @@ fun seeds ->
-        Ok (fun () -> run_faultsim scn seeds 2.0)
-    | [ "faultsim"; scn; seeds; t_end ] ->
-        int_arg "seed count" seeds @@ fun seeds ->
-        float_arg "t_end" t_end @@ fun t_end ->
-        Ok (fun () -> run_faultsim scn seeds t_end)
-    | [ "diff"; model ] ->
-        Ok (fun () -> run_diff model 1000 None 1 Silvm_diff.Compiled)
-    | [ "diff"; model; steps ] ->
-        int_arg "step count" steps @@ fun steps ->
-        Ok (fun () -> run_diff model steps None 1 Silvm_diff.Compiled)
-    | [ "diff"; model; steps; scn ] ->
-        let scn = if scn = "-" then None else Some scn in
-        int_arg "step count" steps @@ fun steps ->
-        Ok (fun () -> run_diff model steps scn 1 Silvm_diff.Compiled)
-    | [ "diff"; model; steps; scn; seed ] ->
-        let scn = if scn = "-" then None else Some scn in
-        int_arg "step count" steps @@ fun steps ->
-        int_arg "seed" seed @@ fun seed ->
-        Ok (fun () -> run_diff model steps scn seed Silvm_diff.Compiled)
-    | [ "diff"; model; steps; scn; seed; eng ] -> (
-        let scn = if scn = "-" then None else Some scn in
-        int_arg "step count" steps @@ fun steps ->
-        int_arg "seed" seed @@ fun seed ->
-        match engine_of_name eng with
-        | Some engine -> Ok (fun () -> run_diff model steps scn seed engine)
-        | None -> usage (Printf.sprintf "bad engine %S (compiled|interp|both)" eng))
-    | _ -> usage "bad job line"
+  (* run one job and encode its record; a `stats` record counts the
+     jobs finished when it ran *)
+  let run job () =
+    let outcome = Job.run cfg job in
+    Job.fields ~jobs_done:(jobs_done_now ())
+      ~uptime_s:((Obs.now_ns () -. t0) *. 1e-9)
+      outcome
   in
   let error_fields ~job ~attempts err =
     [
@@ -1266,15 +868,17 @@ let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
         Flight.begin_track ~id ~name:line;
         let t_start = Obs.now_ns () in
         let fields =
-          match parse_job line with
+          (* malformed lines and out-of-range numbers are rejected at
+             parse time, so a bad count never reaches a worker *)
+          match Job.of_line line with
           | Error msg ->
               error_fields ~job:"error" ~attempts:0
                 (Supervise.Crashed (Supervise.Bad_request msg))
-          | Ok thunk -> (
+          | Ok job -> (
               (* the supervised envelope: deadline, retry/backoff,
                  chaos, kill-on-second-signal; never raises, so the
                  worker always survives the job *)
-              let o = Supervise.supervise ~policy ~killed ~label:line thunk in
+              let o = Supervise.supervise ~policy ~killed ~label:line (run job) in
               match o.Supervise.result with
               | Ok fields ->
                   if o.Supervise.attempts > 1 then
@@ -1378,11 +982,7 @@ let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
       Flight.capture ~reason:"serve: drain on signal"
   end;
   (* shutdown drops queued injector tasks, so drain first *)
-  Mutex.lock lock;
-  while !pending > 0 do
-    Condition.wait drained lock
-  done;
-  Mutex.unlock lock;
+  Exec_pool.quiesce pool;
   Exec_pool.shutdown pool;
   (match prom with
   | Some path ->
@@ -1393,14 +993,6 @@ let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
   0
 
 let serve_cmd =
-  let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains (default 0: one per recommended domain, i.e. \
-             the machine's cores).")
-  in
   let heartbeat =
     Arg.(
       value & opt int 0
@@ -1434,25 +1026,26 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Campaign queue mode: read jobs from stdin (one per line: \
-          $(b,faultsim SCENARIO [SEEDS [T_END]]), $(b,diff MODEL [STEPS \
-          [SCENARIO [SEED]]]) or $(b,stats)), run them on a work-stealing \
-          domain pool and stream one JSON result line per job on stdout, \
-          in submission order. Blank lines and $(b,#) comments are \
-          skipped. Every job runs supervised: $(b,--deadline-s) bounds \
-          its runtime, transient failures retry up to $(b,--retries) \
-          times with deterministic backoff, and failures come back as \
-          structured records — $(b,\"class\") is one of bad_request | \
-          timeout | crashed | transient | poisoned | shed, and the \
-          per-job $(b,\"exit\") field is 0 success, 1 criterion failure \
-          (divergence or unrecovered run), 2 bad request, 3 timeout, 4 \
-          crash, 5 poisoned, 6 shed. SIGINT/SIGTERM stops intake and \
-          drains in-flight jobs, then flushes the $(b,--prom) snapshot \
-          and the flight bundle before exiting 0; a second signal sheds \
-          the in-flight jobs too.")
+         ("Campaign queue mode: read jobs from stdin, one per line ("
+        ^ Job.usage
+        ^ "), run them on a work-stealing domain pool and stream one JSON \
+           result line per job on stdout, in submission order. Blank lines \
+           and $(b,#) comments are skipped. Every job runs supervised: \
+           $(b,--deadline-s) bounds its runtime, transient failures retry \
+           up to $(b,--retries) times with deterministic backoff, and \
+           failures come back as structured records — $(b,\"class\") is \
+           one of bad_request | timeout | crashed | transient | poisoned | \
+           shed, and the per-job $(b,\"exit\") field is 0 success, 1 \
+           criterion failure (divergence or unrecovered run), 2 bad request \
+           (including a count or length out of range), 3 timeout, 4 crash, \
+           5 poisoned, 6 shed. SIGINT/SIGTERM stops intake and drains \
+           in-flight jobs, then flushes the $(b,--prom) snapshot and the \
+           flight bundle before exiting 0; a second signal sheds the \
+           in-flight jobs too."))
     Term.(
-      const serve $ mcu_arg $ period_arg $ fixed_arg $ jobs $ heartbeat $ prom
+      const serve $ mcu_arg $ period_arg $ fixed_arg $ jobs_arg $ heartbeat $ prom
       $ no_flight_arg $ deadline_arg $ retries_arg $ queue)
+
 
 (* ---- analyze ---- *)
 
@@ -1583,10 +1176,9 @@ let check mcu period fixed model_name preemptive rules suppress jobs json
   let names = Array.of_list model_names in
   let n = Array.length names in
   let reports =
-    if jobs <= 1 || n <= 1 then Array.init n (fun i -> check_one names.(i))
-    else
-      Exec_pool.with_pool ~workers:(min jobs n) (fun pool ->
-          Exec_pool.run_map pool ~chunk:1 n (fun i -> check_one names.(i)))
+    with_workers jobs ~tasks:n @@ function
+    | None -> Array.init n (fun i -> check_one names.(i))
+    | Some pool -> Exec_pool.run_map pool ~chunk:1 n (fun i -> check_one names.(i))
   in
   Array.iter (fun r -> print_string (Check.render r)) reports;
   (match json with

@@ -116,7 +116,7 @@ let project_findings project m =
       (Model.blocks m)
   in
   let verify =
-    match Bean_project.verify project with
+    match Bean_project.status project with
     | Ok () -> []
     | Error msgs ->
         List.map

@@ -5,7 +5,7 @@
     advisory rules the compiler never checks: dead blocks, unused
     output ports, rate/base-step mismatches, and — when the Processor
     Expert project is given — bean conflicts found by the expert system
-    ({!Bean_project.verify}) and peripheral blocks referencing beans
+    ({!Bean_project.status}) and peripheral blocks referencing beans
     absent from the project. *)
 
 val findings :

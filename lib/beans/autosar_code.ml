@@ -472,7 +472,7 @@ let mcal_init_unit project =
   }
 
 let hal_units project =
-  (match Bean_project.verify project with
+  (match Bean_project.status project with
   | Ok () -> ()
   | Error msgs ->
       invalid_arg

@@ -28,16 +28,26 @@ let remove t name =
   | None -> ());
   t.bean_list <- List.filter (fun b -> b.Bean.bname <> name) t.bean_list
 
-let verify t =
-  (* Re-resolve in insertion order so resource allocation is stable. *)
-  List.iter (fun b -> Bean.resolve b t.resources) (beans t);
+(* Read-only: code generation may run on several domains over one
+   shared project, so it must not re-resolve (which releases and
+   re-claims every bean's resources in place). Beans resolve when they
+   are added, so their recorded state is current. *)
+let status t =
   let msgs =
     List.concat_map
       (fun b ->
-        List.map (fun e -> Printf.sprintf "%s: %s" b.Bean.bname e) b.Bean.errors)
+        match b.Bean.errors with
+        | [] when b.Bean.resolved = None ->
+            [ Printf.sprintf "%s: not resolved" b.Bean.bname ]
+        | errs -> List.map (fun e -> Printf.sprintf "%s: %s" b.Bean.bname e) errs)
       (beans t)
   in
   if msgs = [] then Ok () else Error msgs
+
+let verify t =
+  (* Re-resolve in insertion order so resource allocation is stable. *)
+  List.iter (fun b -> Bean.resolve b t.resources) (beans t);
+  status t
 
 let retarget t mcu' =
   let t' = create mcu' in
@@ -49,7 +59,7 @@ let retarget t mcu' =
   t'
 
 let hal_units t =
-  (match verify t with
+  (match status t with
   | Ok () -> ()
   | Error msgs ->
       invalid_arg

@@ -31,6 +31,11 @@ val verify : t -> (unit, string list) result
 (** Re-resolve every bean; [Error] collects all messages, prefixed by the
     bean name. *)
 
+val status : t -> (unit, string list) result
+(** Like {!verify}, but reports the beans' current resolution without
+    re-resolving them: read-only, so safe on a project shared across
+    domains. Code generation checks the project through this. *)
+
 val retarget : t -> Mcu_db.t -> t
 (** A new project with the same beans resolved against another MCU. *)
 

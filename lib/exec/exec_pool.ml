@@ -24,6 +24,8 @@ type t = {
   mutable live : bool;
   mutable domains : unit Domain.t array;
   sleepers : int Atomic.t;
+  outstanding : int Atomic.t;  (* queued or running tasks, error hook included *)
+  quiet : Condition.t;  (* signalled, under [lock], when [outstanding] hits 0 *)
   mutable on_task_error : (exn -> unit) option;
   c_tasks : Obs.counter;
   c_task_errors : Obs.counter;
@@ -43,6 +45,7 @@ let wake_all pool =
   end
 
 let submit pool task =
+  Atomic.incr pool.outstanding;
   Mutex.lock pool.lock;
   Queue.push task pool.injector;
   if Obs.enabled () then
@@ -55,6 +58,7 @@ let submit pool task =
 let push_task pool task =
   match !(Domain.DLS.get self_key) with
   | Some (p, w) when p == pool ->
+      Atomic.incr pool.outstanding;
       Wsdeque.push pool.deques.(w) task;
       wake_all pool
   | _ -> submit pool task
@@ -96,14 +100,21 @@ let run_task pool task =
      a fire-and-forget submission — count it, route it through the
      error hook (or stderr), keep serving. Submitted jobs can no
      longer vanish silently. *)
-  try task ()
-  with e ->
-    Obs.add pool.c_task_errors 1;
-    (match pool.on_task_error with
-    | Some hook -> ( try hook e with _ -> ())
-    | None ->
-        prerr_endline
-          ("exec_pool: uncaught exception in task: " ^ Printexc.to_string e))
+  (try task ()
+   with e -> (
+     Obs.add pool.c_task_errors 1;
+     match pool.on_task_error with
+     | Some hook -> ( try hook e with _ -> ())
+     | None ->
+         prerr_endline
+           ("exec_pool: uncaught exception in task: " ^ Printexc.to_string e)));
+  (* the task is finished only now, after its error hook: [quiesce]
+     waits for this point, not for the task body's own [finally] *)
+  if Atomic.fetch_and_add pool.outstanding (-1) = 1 then begin
+    Mutex.lock pool.lock;
+    Condition.broadcast pool.quiet;
+    Mutex.unlock pool.lock
+  end
 
 let run_task_timed pool task =
   if Obs.enabled () then begin
@@ -185,6 +196,8 @@ let create ?workers () =
       live = true;
       domains = [||];
       sleepers = Atomic.make 0;
+      outstanding = Atomic.make 0;
+      quiet = Condition.create ();
       on_task_error = None;
       c_tasks = Obs.counter "exec.tasks";
       c_task_errors = Obs.counter "exec.task_errors";
@@ -204,6 +217,13 @@ let shutdown pool =
     Mutex.unlock pool.lock;
     Array.iter Domain.join pool.domains
   end
+
+let quiesce pool =
+  Mutex.lock pool.lock;
+  while Atomic.get pool.outstanding > 0 do
+    Condition.wait pool.quiet pool.lock
+  done;
+  Mutex.unlock pool.lock
 
 let size pool = pool.workers
 let set_error_hook pool hook = pool.on_task_error <- Some hook

@@ -59,6 +59,13 @@ val submit : t -> (unit -> unit) -> unit
     ([exec.task_errors]) and routed to the pool's error hook — or
     stderr when none is set — and the worker keeps serving. *)
 
+val quiesce : t -> unit
+(** Block until every task submitted so far — and every task those
+    spawned — has finished, including the error-hook call of a task
+    that raised. Call it from outside the pool (a worker waiting on its
+    own pool deadlocks) and before {!shutdown}, which drops queued
+    tasks. *)
+
 val set_error_hook : t -> (exn -> unit) -> unit
 (** Route exceptions escaping {!submit}ted tasks to [hook] instead of
     stderr. The hook runs on the worker domain that ran the task and

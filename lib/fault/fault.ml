@@ -24,7 +24,20 @@ type t = {
   every : float option;
 }
 
+let kind_value = function
+  | Actuator_saturation x | Actuator_jam x | Load_torque x -> Some x
+  | Comm c -> Some c.Faulty.corrupt_rate
+  | _ -> None
+
 let make ?(slot = 0) ?every ~at ~duration kind =
+  let finite what x =
+    if not (Float.is_finite x) then
+      invalid_arg (Printf.sprintf "Fault.make: non-finite %s %g" what x)
+  in
+  finite "onset" at;
+  finite "duration" duration;
+  Option.iter (finite "period") every;
+  Option.iter (finite "value") (kind_value kind);
   if at < 0.0 then invalid_arg "Fault.make: onset before time zero";
   if duration <= 0.0 then invalid_arg "Fault.make: non-positive duration";
   (match every with

@@ -43,8 +43,8 @@ type t = {
 }
 
 val make : ?slot:int -> ?every:float -> at:float -> duration:float -> kind -> t
-(** @raise Invalid_argument on a negative onset or non-positive
-    duration/period. *)
+(** @raise Invalid_argument on a non-finite onset, duration, period or
+    float value, a negative onset, or a non-positive duration/period. *)
 
 val active : t -> time:float -> bool
 (** Whether the fault's window covers [time] (any occurrence, for

@@ -61,8 +61,9 @@ let parse_line lineno line =
           | None -> Ok None
           | Some s -> (
               match float_of_string_opt s with
-              | Some x -> Ok (Some x)
-              | None -> Error (Printf.sprintf "line %d: %s=%S is not a number" lineno k s))
+              | Some x when Float.is_finite x -> Ok (Some x)
+              | Some _ -> err "%s=%S is not a finite number" k s
+              | None -> err "%s=%S is not a number" k s)
         in
         let ( let* ) = Result.bind in
         let* at = fget "at" in

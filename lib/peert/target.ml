@@ -135,7 +135,7 @@ let generate ?(mode = Blockgen.Hw) ?(opt = false) ~name ~project comp =
   Obs.span "peert.generate" @@ fun () ->
   let m = comp.Compile.model in
   let mcu = Bean_project.mcu project in
-  (match Bean_project.verify project with
+  (match Bean_project.status project with
   | Ok () -> ()
   | Error msgs ->
       err "bean project does not verify:\n%s" (String.concat "\n" msgs));

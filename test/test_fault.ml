@@ -88,7 +88,37 @@ let test_scenario_errors () =
   expect_err "dropout at=1 duration=1 junk" "stray token";
   expect_err "dropout at=1 duration=1 flavor=3" "unknown key";
   expect_err "dropout at=2 duration=1 every=0.5" "line 1";
-  expect_err "# only comments\n\n" "no faults"
+  expect_err "# only comments\n\n" "no faults";
+  (* non-finite numbers would schedule a fault that never fires *)
+  expect_err "stuck at=nan duration=0.1" "not a finite number";
+  expect_err "dropout at=1 duration=nan" "not a finite number";
+  expect_err "noise at=1 duration=0.1 every=nan value=5" "not a finite number";
+  expect_err "stuck at=inf duration=inf" "not a finite number";
+  expect_err "jam at=1 duration=0.2 value=nan" "not a finite number";
+  expect_err "# header\ndropout at=1 duration=0.1\nstuck at=-inf duration=1" "line 3";
+  match Fault.make ~at:Float.nan ~duration:0.1 Fault.Sensor_stuck with
+  | _ -> Alcotest.fail "Fault.make accepted a NaN onset"
+  | exception Invalid_argument _ -> ()
+
+(* Any text either parses or is rejected with a message: random bytes,
+   and lines built from the format's own words and numbers. *)
+let prop_scenario_total =
+  let open QCheck2 in
+  let bytes = Gen.string_size ~gen:Gen.char (Gen.int_bound 64) in
+  let word =
+    Gen.oneofl
+      [ "stuck"; "dropout"; "offset"; "noise"; "glitch"; "saturation"; "jam";
+        "load"; "overrun"; "comm"; "wdog-suppress"; "at="; "duration=";
+        "every="; "value="; "slot="; "at=0.5"; "duration=0.1"; "every=1";
+        "value=nan"; "value=1e308"; "slot=-1"; "at=-0"; "duration=inf";
+        "every=0"; "#"; "\n"; "=" ]
+  in
+  let lines = Gen.map (String.concat " ") (Gen.list_size (Gen.int_bound 12) word) in
+  Test.make ~count:2000 ~name:"scenario parser never raises"
+    ~print:(Printf.sprintf "%S")
+    (Gen.frequency [ (1, bytes); (3, lines) ])
+    (fun text ->
+      match Fault_scenario.of_string ~name:"p" text with Ok _ | Error _ -> true)
 
 let test_builtins () =
   List.iter
@@ -339,17 +369,7 @@ let test_diff_under_fault () =
     | Ok s -> s
     | Error e -> Alcotest.fail e
   in
-  let inj = Fault_inject.arm ~seed:7 scenario in
-  let injector =
-    {
-      Silvm_diff.inj_sensors =
-        (fun ~step:_ ~time codes ->
-          Array.mapi
-            (fun slot v -> Fault_inject.sensor inj ~slot ~time v land 0xFFFF)
-            codes);
-      inj_active = (fun ~time -> Fault_inject.active_names inj ~time);
-    }
-  in
+  let injector = Job.injector_of scenario 7 in
   let r =
     Silvm_diff.run ~steps:1200 ~plant:(Silvm_diff.Plant (plant, driver))
       ~injector ~name:"servo" ~project:b.Servo_system.project comp
@@ -441,6 +461,7 @@ let suite =
     Alcotest.test_case "fault windows" `Quick test_fault_window;
     Alcotest.test_case "scenario parse" `Quick test_scenario_parse;
     Alcotest.test_case "scenario errors" `Quick test_scenario_errors;
+    QCheck_alcotest.to_alcotest prop_scenario_total;
     Alcotest.test_case "builtin scenarios" `Quick test_builtins;
     Alcotest.test_case "injector: sensor kinds" `Quick test_injector_sensor;
     Alcotest.test_case "injector: seeds and actuators" `Quick

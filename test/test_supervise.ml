@@ -281,9 +281,11 @@ let test_submit_error_hook () =
               ~finally:(fun () -> Atomic.incr done_)
               (fun () -> if i mod 2 = 0 then failwith "task boom"))
       done;
-      while Atomic.get done_ < 10 do
-        Domain.cpu_relax ()
-      done;
+      (* [done_] is bumped in the task's own [finally], before the pool
+         runs the error hook, so it cannot tell when the hooks are done;
+         [quiesce] can *)
+      Exec_pool.quiesce pool;
+      check_int "every task ran" 10 (Atomic.get done_);
       check_int "hook saw every failure" 5 (List.length (Atomic.get seen));
       check_bool "worker survived and kept serving" true
         (List.for_all (fun m -> m = "Failure(\"task boom\")") (Atomic.get seen)))
