@@ -99,17 +99,9 @@ let rec infer env scopes e =
   match e with
   | Int_lit n | Hex_lit n -> Lit n
   | Float_lit _ -> Ty Double_t
-  | Str_lit _ -> Ty (Ptr U8)
   | Var v -> (
       match lookup_var scopes env v with Some t -> Ty t | None -> Unknown)
   | Field (b, f) -> field_type env scopes b f
-  | Arrow (b, f) -> (
-      match infer env scopes b with
-      | Ty t -> (
-          match resolve env t with
-          | Ptr t -> struct_field env t f
-          | _ -> Unknown)
-      | _ -> Unknown)
   | Index (b, _) -> (
       match infer env scopes b with
       | Ty t -> (
@@ -156,9 +148,8 @@ let rec has_side_effect env e =
       || List.exists (has_side_effect env) args
   | Un (("++" | "--"), _) -> true
   | Bin (("=" | "+=" | "-=" | "*=" | "/=" | "|=" | "&=" | "^="), _, _) -> true
-  | Int_lit _ | Hex_lit _ | Float_lit _ | Str_lit _ | Var _ -> false
-  | Field (b, _) | Arrow (b, _) | Un (_, b) | Cast_to (_, b) ->
-      has_side_effect env b
+  | Int_lit _ | Hex_lit _ | Float_lit _ | Var _ -> false
+  | Field (b, _) | Un (_, b) | Cast_to (_, b) -> has_side_effect env b
   | Index (a, b) | Bin (_, a, b) -> has_side_effect env a || has_side_effect env b
   | Ternary (a, b, c) ->
       has_side_effect env a || has_side_effect env b || has_side_effect env c

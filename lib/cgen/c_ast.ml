@@ -31,10 +31,8 @@ type expr =
   | Int_lit of int
   | Hex_lit of int
   | Float_lit of float
-  | Str_lit of string
   | Var of string
   | Field of expr * string
-  | Arrow of expr * string
   | Index of expr * expr
   | Call of string * expr list
   | Un of string * expr

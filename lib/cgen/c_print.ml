@@ -39,8 +39,8 @@ let prec_of_bin = function
   | _ -> 0
 
 let rec expr_prec = function
-  | Int_lit _ | Hex_lit _ | Float_lit _ | Str_lit _ | Var _ -> 100
-  | Field _ | Arrow _ | Index _ | Call _ -> 90
+  | Int_lit _ | Hex_lit _ | Float_lit _ | Var _ -> 100
+  | Field _ | Index _ | Call _ -> 90
   | Un _ | Cast_to _ -> 80
   | Bin (op, _, _) -> prec_of_bin op
   | Ternary _ -> 0
@@ -54,10 +54,8 @@ and expr_to_string e =
   | Int_lit n -> string_of_int n
   | Hex_lit n -> Printf.sprintf "0x%XU" n
   | Float_lit x -> float_lit x
-  | Str_lit s -> Printf.sprintf "%S" s
   | Var s -> s
   | Field (e, f) -> Printf.sprintf "%s.%s" (sub 90 e) f
-  | Arrow (e, f) -> Printf.sprintf "%s->%s" (sub 90 e) f
   | Index (e, i) -> Printf.sprintf "%s[%s]" (sub 90 e) (expr_to_string i)
   | Call (f, args) ->
       Printf.sprintf "%s(%s)" f (String.concat ", " (List.map expr_to_string args))

@@ -247,9 +247,11 @@ let run_diff ?pool ?progress cfg (d : diff) =
         (* every domain builds its own context (the model compile dedups
            through the cache); this one builds first, so a configuration
            error surfaces here rather than on a worker *)
-        let ctx = Domain.DLS.new_key (fun () -> diff_context cfg d.model) in
-        ignore (Domain.DLS.get ctx);
-        Exec_pool.run_map pool n (fun i -> one (Domain.DLS.get ctx) i)
+        Exec_pool.with_contexts pool
+          (fun () -> diff_context cfg d.model)
+          (fun ctx ->
+            ignore (ctx ());
+            Exec_pool.run_map pool n (fun i -> one (ctx ()) i))
     | _ -> Array.init n (one (diff_context cfg d.model))
   in
   Diffed { job = d; scenario; reports = Array.to_list reports }

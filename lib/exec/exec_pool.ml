@@ -238,6 +238,31 @@ let with_pool ?workers f =
   let pool = create ?workers () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
+(* ---- per-call domain-local contexts ---- *)
+
+let with_contexts pool mk body =
+  (* one slot per worker, plus the last for the calling domain; each
+     slot is only ever touched by the domain it belongs to *)
+  let slots = Array.make (pool.workers + 1) None in
+  let get () =
+    let k =
+      match !(Domain.DLS.get self_key) with
+      | Some (p, w) when p == pool -> w
+      | _ -> pool.workers
+    in
+    match slots.(k) with
+    | Some c -> c
+    | None ->
+        let c = mk () in
+        slots.(k) <- Some c;
+        c
+  in
+  (* a stolen task stays in its deque slot until a later push overwrites
+     it, so [get] can outlive the call: empty the slots explicitly *)
+  Fun.protect
+    ~finally:(fun () -> Array.fill slots 0 (Array.length slots) None)
+    (fun () -> body get)
+
 (* ---- fork-join map ---- *)
 
 let record_failure failed i e bt =

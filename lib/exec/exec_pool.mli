@@ -54,6 +54,15 @@ val run_map :
       stays deterministic because the record depends only on [(i, e)].
       An exception escaping the handler itself aborts as above. *)
 
+val with_contexts : t -> (unit -> 'c) -> ((unit -> 'c) -> 'a) -> 'a
+(** [with_contexts pool mk body] runs [body get]. [get ()] returns the
+    calling domain's own context, built by [mk] on that domain's first
+    [get]: one per worker of [pool], plus one for the domain that called
+    [with_contexts]. Use it for mutable per-job state (a simulation
+    subject, a diff context) that {!run_map} leaves inside [body] must
+    not share across domains. The contexts are dropped when [body]
+    returns or raises, so a long-lived pool keeps none of them. *)
+
 val submit : t -> (unit -> unit) -> unit
 (** Queue one task. An exception escaping it is counted
     ([exec.task_errors]) and routed to the pool's error hook — or

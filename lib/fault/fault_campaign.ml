@@ -220,32 +220,31 @@ let run_parallel ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy
      so the merged report is identical to the sequential one (runs are
      seed-deterministic and independent — [one_run] starts from
      [Sim.reset]) no matter which domain computed what. *)
-  let subj_key = Domain.DLS.new_key mk_subject in
-  let period, steps, wdog_timeout =
-    let probe = Domain.DLS.get subj_key in
-    let period = Sim.base_dt probe.sim in
-    let wdog_timeout =
-      match wdog_timeout with Some t -> t | None -> 8.0 *. period
-    in
-    (period, int_of_float ((t_end /. period) +. 0.5), wdog_timeout)
-  in
-  let t0 = Obs.now_ns () in
-  let outcomes =
-    Exec_pool.run_map pool seeds (fun i ->
-        let subject = Domain.DLS.get subj_key in
-        let seed = i + 1 in
-        let o =
-          supervised_one ?policy subject ~scenario ~seed ~steps ~period ~t_end
-            ~wdog_timeout
+  Exec_pool.with_contexts pool mk_subject (fun subject ->
+      let period, steps, wdog_timeout =
+        let probe = subject () in
+        let period = Sim.base_dt probe.sim in
+        let wdog_timeout =
+          match wdog_timeout with Some t -> t | None -> 8.0 *. period
         in
-        (* called from worker domains: the callback must synchronize *)
-        (match (o.Supervise.result, on_run) with
-        | Ok r, Some f -> f r
-        | _ -> ());
-        (seed, o))
-  in
-  let wall_s = wall ((Obs.now_ns () -. t0) *. 1e-9) in
-  merge ~scenario ~t_end ~period ~steps ~wall_s (Array.to_list outcomes)
+        (period, int_of_float ((t_end /. period) +. 0.5), wdog_timeout)
+      in
+      let t0 = Obs.now_ns () in
+      let outcomes =
+        Exec_pool.run_map pool seeds (fun i ->
+            let seed = i + 1 in
+            let o =
+              supervised_one ?policy (subject ()) ~scenario ~seed ~steps
+                ~period ~t_end ~wdog_timeout
+            in
+            (* called from worker domains: the callback must synchronize *)
+            (match (o.Supervise.result, on_run) with
+            | Ok r, Some f -> f r
+            | _ -> ());
+            (seed, o))
+      in
+      let wall_s = wall ((Obs.now_ns () -. t0) *. 1e-9) in
+      merge ~scenario ~t_end ~period ~steps ~wall_s (Array.to_list outcomes))
 
 let throughput ?scenario ~steps subject =
   Sim.reset subject.sim;

@@ -98,7 +98,8 @@ val run_parallel :
     splits over the pool's workers, each domain lazily building its own
     subject through [mk_subject] (simulation state is mutable and must
     stay domain-local — the compile inside dedups through
-    {!Compile_cache}). Per-seed runs are independent and
+    {!Compile_cache}); they are dropped when the call returns
+    ({!Exec_pool.with_contexts}). Per-seed runs are independent and
     seed-deterministic, and results merge in seed order, so the report
     equals the sequential one field-for-field except [wall_s]
     (set [ECSD_WALL_ZERO=1] to zero that too and compare bytes).

@@ -1,20 +1,23 @@
 (* Typed mid-level IR between the block diagram and the C AST.
 
    Blockgen's per-block C fragments are lifted into this IR, analysed
-   and optionally optimised, and printed back out through the C
-   emitter. The design rule (after Blaze's PIL) is one explicitly
+   and optionally optimised, printed back out through the C emitter,
+   and compiled to closures for SIL ({!Silvm_compile} consumes MIR
+   only). The design rule (after Blaze's PIL) is one explicitly
    widthed op per constructor: saturation, wrap and quantisation are
    first-class nodes instead of pattern-matched helper calls, so the
-   range analysis, the def-use rules, the sat-op prover and the
-   optimiser all share one semantics.
+   range analysis, the def-use rules, the sat-op prover, the optimiser
+   and the closure compiler all share one semantics.
 
    The second design rule is exact round-tripping: [Mir_to_c.lower] is
-   the inverse of [Mir_of_c.lift] on every construct the lifter
-   understands, and anything it does not understand is carried through
-   verbatim as an opaque node. Lifting then lowering a generated
-   translation unit therefore reproduces it structurally unchanged,
-   which keeps golden SIL traces and MISRA findings stable when the
-   MIR pipeline is inserted into the codegen path. *)
+   the inverse of [Mir_of_c.lift]. Every construct the code generators
+   emit lifts to a typed node, including [&x] out-parameters
+   ([Eaddr]); anything else (hand-written C) is carried through
+   verbatim as an opaque node, which the closure compiler rejects when
+   it runs. Lifting then lowering a generated translation unit
+   therefore reproduces it structurally unchanged, which keeps golden
+   SIL traces and MISRA findings stable when the MIR pipeline is
+   inserted into the codegen path. *)
 
 type ity = { bits : int; signed : bool }
 
@@ -68,6 +71,7 @@ and expr =
   | Emul_shift of expr * expr * expr  (** pe_mul_shift: (a*b+2^(s-1))>>s *)
   | Ecall of string * expr list  (** external / opaque call *)
   | Eselect of expr * expr * expr  (** ternary *)
+  | Eaddr of place  (** [&p]: an out-parameter; the place escapes *)
   | Eopaque of C_ast.expr  (** unliftable fragment, lowered verbatim *)
 
 type stmt =
@@ -152,7 +156,7 @@ let rec iter_expr f e =
   f e;
   match e with
   | Kint _ | Kfloat _ | Eopaque _ -> ()
-  | Load p -> iter_place f p
+  | Load p | Eaddr p -> iter_place f p
   | Eun (_, a) | Ecast (_, a) | Equantize (_, a) | Esat16 a -> iter_expr f a
   | Ebin (_, a, b) | Esat_add32 (a, b) ->
       iter_expr f a;
@@ -215,7 +219,7 @@ let addressed_vars_of_c e =
   let rec go = function
     | C_ast.Un ("&", C_ast.Var v) -> acc := v :: !acc
     | C_ast.Un ("&", e) | C_ast.Un (_, e) | C_ast.Cast_to (_, e)
-    | C_ast.Field (e, _) | C_ast.Arrow (e, _) ->
+    | C_ast.Field (e, _) ->
         go e
     | C_ast.Bin (_, a, b) | C_ast.Index (a, b) ->
         go a;
@@ -225,9 +229,7 @@ let addressed_vars_of_c e =
         go b;
         go c
     | C_ast.Call (_, args) -> List.iter go args
-    | C_ast.Int_lit _ | C_ast.Hex_lit _ | C_ast.Float_lit _ | C_ast.Str_lit _
-    | C_ast.Var _ ->
-        ()
+    | C_ast.Int_lit _ | C_ast.Hex_lit _ | C_ast.Float_lit _ | C_ast.Var _ -> ()
   in
   go e;
   !acc
@@ -237,9 +239,7 @@ let vars_of_c e =
   let acc = ref [] in
   let rec go = function
     | C_ast.Var v -> acc := v :: !acc
-    | C_ast.Un (_, e) | C_ast.Cast_to (_, e) | C_ast.Field (e, _)
-    | C_ast.Arrow (e, _) ->
-        go e
+    | C_ast.Un (_, e) | C_ast.Cast_to (_, e) | C_ast.Field (e, _) -> go e
     | C_ast.Bin (_, a, b) | C_ast.Index (a, b) ->
         go a;
         go b
@@ -248,9 +248,7 @@ let vars_of_c e =
         go b;
         go c
     | C_ast.Call (_, args) -> List.iter go args
-    | C_ast.Int_lit _ | C_ast.Hex_lit _ | C_ast.Float_lit _ | C_ast.Str_lit _
-      ->
-        ()
+    | C_ast.Int_lit _ | C_ast.Hex_lit _ | C_ast.Float_lit _ -> ()
   in
   go e;
   !acc

@@ -47,6 +47,10 @@ let reads_of_expr locals e =
              iter_expr already visits index expressions *)
           let root = Mir.place_root p in
           if Sset.mem root locals then acc := Sset.add root !acc
+      | Mir.Eaddr _ ->
+          (* an out-parameter: the callee writes the root, so it counts
+             defined (below), not read; iter_expr visits index exprs *)
+          ()
       | Mir.Eopaque ce ->
           (* a local that only appears as [&v] is an out-parameter — the
              callee writes it; count it defined (below), not read *)
@@ -60,17 +64,18 @@ let reads_of_expr locals e =
     e;
   !acc
 
-(* locals whose address escapes into an opaque fragment: treat as both
-   defined (the callee may write them) and used (it may read them) *)
+(* locals whose address escapes ([Eaddr], or [&v] inside an opaque
+   fragment): treat as both defined (the callee may write them) and
+   used (it may read them) *)
 let addressed_of_expr locals e =
   let acc = ref Sset.empty in
+  let note v = if Sset.mem v locals then acc := Sset.add v !acc in
   Mir.iter_expr
     (fun e ->
       match e with
+      | Mir.Eaddr p -> note (Mir.place_root p)
       | Mir.Eopaque ce ->
-          List.iter
-            (fun v -> if Sset.mem v locals then acc := Sset.add v !acc)
-            (Mir.addressed_vars_of_c ce)
+          List.iter note (Mir.addressed_vars_of_c ce)
       | _ -> ())
     e;
   !acc
@@ -171,7 +176,7 @@ let effect locals (a : Mir_cfg.astmt) =
 let rec observable = function
   | Mir.Kint _ | Mir.Kfloat _ -> false
   | Mir.Load _ -> false
-  | Mir.Eopaque _ | Mir.Ecall _ -> true
+  | Mir.Eaddr _ | Mir.Eopaque _ | Mir.Ecall _ -> true
   | Mir.Eun (_, a) | Mir.Ecast (_, a) | Mir.Equantize (_, a) | Mir.Esat16 a ->
       observable a
   | Mir.Ebin (_, a, b) | Mir.Esat_add32 (a, b) -> observable a || observable b

@@ -171,7 +171,7 @@ let rec ty_of_expr t locals e =
       | None -> (
           match libm_ty f with Some ty -> ty | None -> Mir.Tunknown))
   | Mir.Eselect (_, a, b) -> usual (ty_of_expr t locals a) (ty_of_expr t locals b)
-  | Mir.Eopaque _ -> Mir.Tunknown
+  | Mir.Eaddr _ | Mir.Eopaque _ -> Mir.Tunknown
 
 (* finite value range of a scalar type, as outward-rounded doubles;
    unbounded (infinite) for floats and unknowns *)

@@ -265,7 +265,7 @@ let rec eval ?lookup (e : Mir.expr) : value =
   | Mir.Emul_shift (a, b, s) -> mul_shift (ev a) (ev b) (ev s)
   | Mir.Ecall _ -> raise Nonconst
   | Mir.Eselect (c, a, b) -> if is_truthy (ev c) then ev a else ev b
-  | Mir.Eopaque _ -> raise Nonconst
+  | Mir.Eaddr _ | Mir.Eopaque _ -> raise Nonconst
 
 (* constant evaluation that reports failure instead of raising *)
 let const_eval e =

@@ -1,9 +1,11 @@
 (* Lift the generated C AST into MIR.
 
-   Total by construction: every construct the lifter does not model
-   becomes an [Eopaque]/[Sopaque] node carrying the original fragment,
-   which [Mir_to_c] lowers verbatim. The lift/lower pair is an exact
-   inverse — see the round-trip property in test_mir.ml. *)
+   Total by construction: every construct the code generators emit
+   lifts to a typed node ([&lvalue] to [Eaddr]); anything else becomes
+   an [Eopaque]/[Sopaque] node carrying the original fragment, which
+   [Mir_to_c] lowers verbatim. The lift/lower pair is an exact inverse,
+   and generated units lift with no opaque node at all — see the
+   round-trip and no-opaque properties in test_mir.ml. *)
 
 open C_ast
 
@@ -37,6 +39,10 @@ and lift_expr e : Mir.expr =
   | Call (f, args) -> Mir.Ecall (f, List.map lift_expr args)
   | Un ("-", a) -> Mir.Eun (Mir.Neg, lift_expr a)
   | Un ("!", a) -> Mir.Eun (Mir.Lnot, lift_expr a)
+  | Un ("&", lv) -> (
+      match lift_place lv with
+      | Some p -> Mir.Eaddr p
+      | None -> Mir.Eopaque e)
   | Un _ -> Mir.Eopaque e
   | Bin (op, a, b) -> (
       match Mir.bop_of_name op with
@@ -44,7 +50,6 @@ and lift_expr e : Mir.expr =
       | None -> Mir.Eopaque e)
   | Cast_to (cty, a) -> Mir.Ecast (cty, lift_expr a)
   | Ternary (c, a, b) -> Mir.Eselect (lift_expr c, lift_expr a, lift_expr b)
-  | Str_lit _ | Arrow _ -> Mir.Eopaque e
 
 let rec lift_stmt s : Mir.stmt =
   match s with

@@ -26,6 +26,7 @@ let rec map_expr f (e : Mir.expr) : Mir.expr =
     match e with
     | Mir.Kint _ | Mir.Kfloat _ | Mir.Eopaque _ -> e
     | Mir.Load p -> Mir.Load (map_place f p)
+    | Mir.Eaddr p -> Mir.Eaddr (map_place f p)
     | Mir.Eun (op, a) -> Mir.Eun (op, map_expr f a)
     | Mir.Ebin (op, a, b) -> Mir.Ebin (op, map_expr f a, map_expr f b)
     | Mir.Ecast (t, a) -> Mir.Ecast (t, map_expr f a)
@@ -66,7 +67,7 @@ let literal_of_value (v : Mir_eval.value) : Mir.expr option =
 
 let try_fold (e : Mir.expr) : Mir.expr =
   match e with
-  | Mir.Kint _ | Mir.Kfloat _ | Mir.Load _ | Mir.Eopaque _ -> e
+  | Mir.Kint _ | Mir.Kfloat _ | Mir.Load _ | Mir.Eaddr _ | Mir.Eopaque _ -> e
   | _ -> (
       match Mir_eval.const_eval e with
       | Some v -> ( match literal_of_value v with Some l -> l | None -> e)
@@ -199,7 +200,7 @@ let expr_reads_var v e =
   Mir.iter_expr
     (fun e ->
       match e with
-      | Mir.Load p when Mir.place_root p = v -> found := true
+      | (Mir.Load p | Mir.Eaddr p) when Mir.place_root p = v -> found := true
       | Mir.Eopaque ce when List.mem v (Mir.vars_of_c ce) -> found := true
       | _ -> ())
     e;
@@ -210,7 +211,7 @@ let expr_impure e =
   Mir.iter_expr
     (fun e ->
       match e with
-      | Mir.Ecall _ | Mir.Eopaque _ -> found := true
+      | Mir.Ecall _ | Mir.Eaddr _ | Mir.Eopaque _ -> found := true
       | _ -> ())
     e;
   !found
@@ -340,7 +341,7 @@ let observed_locals locals body =
   let note v = if Sset.mem v locals then acc := Sset.add v !acc in
   let on_expr e =
     match e with
-    | Mir.Load p -> note (Mir.place_root p)
+    | Mir.Load p | Mir.Eaddr p -> note (Mir.place_root p)
     | Mir.Eopaque ce ->
         List.iter note (Mir.vars_of_c ce);
         List.iter note (Mir.addressed_vars_of_c ce)
@@ -448,6 +449,7 @@ let const_global_candidates env ~(init_fn : string)
       let dirty root = Hashtbl.replace dirty_roots root () in
       let on_expr e =
         match e with
+        | Mir.Eaddr p -> dirty (Mir.place_root p)
         | Mir.Eopaque ce ->
             List.iter dirty (Mir.vars_of_c ce);
             List.iter dirty (Mir.addressed_vars_of_c ce)

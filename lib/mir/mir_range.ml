@@ -229,7 +229,7 @@ let rec eval_itv ctx (state : itv Smap.t) (e : Mir.expr) : itv =
   | Mir.Eselect (c, a, b) ->
       ignore (ev c);
       hull (ev a) (ev b)
-  | Mir.Eopaque _ -> top
+  | Mir.Eaddr _ | Mir.Eopaque _ -> top
 
 and record_site ctx e op verdict i bounds =
   match ctx.record with
@@ -248,12 +248,14 @@ let havoc_root root state =
               || path.[String.length root] = '['))))
     state
 
-(* variables an expression's opaque fragments may write *)
+(* variables whose address an expression lets escape: the callee may
+   write them *)
 let opaque_writes e =
   let acc = ref [] in
   Mir.iter_expr
     (fun e ->
       match e with
+      | Mir.Eaddr p -> acc := Mir.place_root p :: !acc
       | Mir.Eopaque ce -> acc := Mir.addressed_vars_of_c ce @ !acc
       | _ -> ())
     e;

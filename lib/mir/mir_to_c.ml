@@ -24,6 +24,7 @@ and lower_expr = function
   | Mir.Ecall (f, args) -> C_ast.Call (f, List.map lower_expr args)
   | Mir.Eselect (c, a, b) ->
       C_ast.Ternary (lower_expr c, lower_expr a, lower_expr b)
+  | Mir.Eaddr p -> C_ast.Un ("&", lower_place p)
   | Mir.Eopaque e -> e
 
 let rec lower_stmt = function

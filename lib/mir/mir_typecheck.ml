@@ -37,7 +37,8 @@ let check_func env (f : C_ast.func) (body : Mir.stmt list) : error list =
       | _ -> ()
     in
     (match e with
-    | Mir.Kint _ | Mir.Kfloat _ | Mir.Load _ | Mir.Eopaque _ | Mir.Ecall _ ->
+    | Mir.Kint _ | Mir.Kfloat _ | Mir.Load _ | Mir.Eaddr _ | Mir.Eopaque _
+    | Mir.Ecall _ ->
         ()
     | Mir.Eun (_, a) -> scalar_operand "unary" a
     | Mir.Ebin (op, a, b) ->
@@ -73,7 +74,7 @@ let check_func env (f : C_ast.func) (body : Mir.stmt list) : error list =
     (* recurse *)
     match e with
     | Mir.Kint _ | Mir.Kfloat _ | Mir.Eopaque _ -> ()
-    | Mir.Load p -> check_place locals p
+    | Mir.Load p | Mir.Eaddr p -> check_place locals p
     | Mir.Eun (_, a) | Mir.Ecast (_, a) | Mir.Equantize (_, a) | Mir.Esat16 a
       ->
         check_expr locals a

@@ -32,14 +32,10 @@ let rec calls_in_stmts acc (ss : C_ast.stmt list) =
   let rec in_expr acc (e : C_ast.expr) =
     match e with
     | C_ast.Call (f, args) -> List.fold_left in_expr (f :: acc) args
-    | C_ast.Un (_, a) | C_ast.Cast_to (_, a) | C_ast.Field (a, _)
-    | C_ast.Arrow (a, _) ->
-        in_expr acc a
+    | C_ast.Un (_, a) | C_ast.Cast_to (_, a) | C_ast.Field (a, _) -> in_expr acc a
     | C_ast.Bin (_, a, b) | C_ast.Index (a, b) -> in_expr (in_expr acc a) b
     | C_ast.Ternary (a, b, c) -> in_expr (in_expr (in_expr acc a) b) c
-    | C_ast.Int_lit _ | C_ast.Hex_lit _ | C_ast.Float_lit _ | C_ast.Str_lit _
-    | C_ast.Var _ ->
-        acc
+    | C_ast.Int_lit _ | C_ast.Hex_lit _ | C_ast.Float_lit _ | C_ast.Var _ -> acc
   in
   let in_stmt acc (s : C_ast.stmt) =
     match s with

@@ -114,12 +114,11 @@ let cast_helpers =
    static function is fatal. *)
 let rec calls_in_expr acc = function
   | Call (f, args) -> List.fold_left calls_in_expr (f :: acc) args
-  | Un (_, e) | Cast_to (_, e) | Field (e, _) | Arrow (e, _) ->
-      calls_in_expr acc e
+  | Un (_, e) | Cast_to (_, e) | Field (e, _) -> calls_in_expr acc e
   | Bin (_, a, b) | Index (a, b) -> calls_in_expr (calls_in_expr acc a) b
   | Ternary (a, b, c) ->
       calls_in_expr (calls_in_expr (calls_in_expr acc a) b) c
-  | Int_lit _ | Hex_lit _ | Float_lit _ | Str_lit _ | Var _ -> acc
+  | Int_lit _ | Hex_lit _ | Float_lit _ | Var _ -> acc
 
 let rec calls_in_stmt acc = function
   | Expr e | Return (Some e) | Decl (_, _, Some e) -> calls_in_expr acc e
@@ -1321,8 +1320,7 @@ let emit_builtin g spec =
    before the helper can round. *)
 let rec is_copy_expr = function
   | Var _ -> true
-  | Field (e, _) | Arrow (e, _) -> is_copy_expr e
-  | Index (e, _) -> is_copy_expr e
+  | Field (e, _) | Index (e, _) -> is_copy_expr e
   | _ -> false
 
 let quantized_rhs dt rhs =

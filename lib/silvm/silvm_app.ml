@@ -185,26 +185,20 @@ let actuator app slot =
   | Compiled { st; _ } -> Silvm_compile.actuator st slot
 
 let read_field app fname field =
-  let e = C_ast.Field (C_ast.Var fname, field) in
   match app.backend with
-  | Interp interp -> Silvm_interp.read interp e
+  | Interp interp ->
+      Silvm_interp.read interp (C_ast.Field (C_ast.Var fname, field))
   | Compiled { code; st; readers } -> (
       (* signals are polled every step of a diff run: compile the read
          once, then it is a closure call *)
       match Hashtbl.find_opt readers field with
       | Some r -> r st
       | None ->
-          let r = Silvm_compile.reader code e in
+          let r =
+            Silvm_compile.reader code (Mir.Pfield (Mir.Pvar fname, field))
+          in
           Hashtbl.replace readers field r;
           r st)
-
-let set_input app i x =
-  let e =
-    C_ast.Field (C_ast.Var (app.name ^ "_U"), Printf.sprintf "in%d" i)
-  in
-  match app.backend with
-  | Interp interp -> Silvm_interp.write interp e (Silvm_value.VF x)
-  | Compiled { code; st; _ } -> Silvm_compile.write code st e (Silvm_value.VF x)
 
 (* the block-I/O structure field carrying a block output signal *)
 let signal app (b, p) =

@@ -72,9 +72,6 @@ val set_sensor : t -> int -> int -> unit
 val actuator : t -> int -> int
 (** [actuator app slot] reads [pil_actuator_buf[slot]]. *)
 
-val set_input : t -> int -> float -> unit
-(** [set_input app i x] writes the Inport field [<name>_U.in<i>]. *)
-
 val signal : t -> Model.blk * int -> Silvm_value.t
 (** [signal app (b, p)] reads the block-output field
     [<name>_B.<block>_o<p>] of the generated signals structure (cached

@@ -5,17 +5,18 @@
    node is compiled ONCE into an OCaml closure over a flat mutable
    state; running a step is then just calling closures, with no AST
    dispatch, no hashtable lookups and no per-operation boxing on the
-   typed fast path. Anything the lifter carries as an opaque node falls
-   back to a structurally identical compiler over the C AST, so the
-   covered subset is exactly the interpreter's.
+   typed fast path. MIR is the only input: generated code lifts with no
+   opaque node, and an opaque node (hand-written C outside the lifted
+   subset) compiles to a closure that raises {!Silvm_interp.Unsupported}
+   when it runs — the interpreter's treatment of [Raw].
 
-   Bit-exactness contract: for every program {!Silvm_interp} executes,
-   the compiled closures produce the same value in every storage cell
-   after every call — including the wrap/sat/cast/quantize corners and
-   the error cases (division by zero, shift range, loop fuel). The
-   equivalence battery in test_silvm_compile.ml holds this to
-   every-block-output-every-step equality against the interpreter and
-   against the MIL engine.
+   Bit-exactness contract: for every program {!Silvm_interp} executes
+   whose MIR lift has no opaque node, the compiled closures produce the
+   same value in every storage cell after every call — including the
+   wrap/sat/cast/quantize corners and the error cases (division by
+   zero, shift range, loop fuel). The equivalence battery in
+   test_silvm_compile.ml holds this to every-block-output-every-step
+   equality against the interpreter and against the MIL engine.
 
    Representation choices that make the fast path fast:
    - integer cells hold the canonical value ({!Silvm_value}'s
@@ -447,7 +448,13 @@ let rec compile_expr g (scope : scope) (e : Mir.expr) : cexp =
              type-mismatched ternary is data-dependently typed *)
           let da = dyn ca and db = dyn cb in
           CD (fun st -> if tc st then da st else db st))
-  | Mir.Eopaque ce -> compile_cexpr g scope ce
+  | Mir.Eaddr p ->
+      (* the interpreter evaluates the operand, then rejects unary & *)
+      let read = dyn (compile_expr g scope (Mir.Load p)) in
+      CD (fun st -> Silvm_value.unop "&" (read st))
+  | Mir.Eopaque _ ->
+      let msg = "opaque expression: " ^ Mir_to_c.expr_to_string e in
+      CD (fun _ -> raise (Silvm_interp.Unsupported msg))
 
 and compile_bin op (a : cexp) (b : cexp) : cexp =
   match (a, b) with
@@ -618,8 +625,10 @@ and compile_call g scope f args : cexp =
           in
           CD
             (fun st ->
+              (* arguments first, as the interpreter evaluates them *)
+              let vs = List.map (fun d -> d st) das in
               match Hashtbl.find_opt st.externals f with
-              | Some fn -> fn (List.map (fun d -> d st) das)
+              | Some fn -> fn vs
               | None -> unsupported "call to unknown function %s" f)
 
 (* invoke a compiled (or lazily failed) model function *)
@@ -662,7 +671,7 @@ and call_fn g st fname (args : Silvm_value.t list) : Silvm_value.t option =
                 | _ -> fail "lround arity"
               else unsupported "call to unknown function %s" fname))
 
-(* ---------------- places / C-AST fallback ---------------- *)
+(* ---------------- places ---------------- *)
 
 and storage_of_place g scope (p : Mir.place) : storage =
   match p with
@@ -694,94 +703,6 @@ and compile_lval g scope (p : Mir.place) : lval =
       let ix = as_index (compile_expr g scope idx) in
       index_lval stor ix
   | _ -> lval_of_storage (storage_of_place g scope p)
-
-and storage_of_cexpr g scope (e : C_ast.expr) : storage =
-  match e with
-  | Var v -> (
-      match Hashtbl.find_opt scope v with
-      | Some s -> s
-      | None -> (
-          match Hashtbl.find_opt g.globals v with
-          | Some s -> s
-          | None -> fail "unbound identifier %s" v))
-  | Field (b, f) | Arrow (b, f) -> (
-      match storage_of_cexpr g scope b with
-      | Sstructv fields -> (
-          let n = Array.length fields in
-          let rec find i =
-            if i >= n then fail "no field %s" f
-            else
-              let fn, s = fields.(i) in
-              if String.equal fn f then s else find (i + 1)
-          in
-          find 0)
-      | _ -> fail "field access %s on a non-struct" f)
-  | _ -> unsupported "expression is not an lvalue"
-
-and compile_clval g scope (e : C_ast.expr) : lval =
-  match e with
-  | Index (b, i) ->
-      let stor = storage_of_cexpr g scope b in
-      let ix = as_index (compile_cexpr g scope i) in
-      index_lval stor ix
-  | _ -> lval_of_storage (storage_of_cexpr g scope e)
-
-(* pre-increment / pre-decrement: update then yield the stored value *)
-and compile_incdec g scope op lv : cexp =
-  let d = if String.equal op "++" then 1 else -1 in
-  match compile_clval g scope lv with
-  | LI (t, get, set) ->
-      CI
-        ( t,
-          fun st ->
-            set st (get st + d);
-            get st )
-  | LF (_, get, set) ->
-      CF
-        (fun st ->
-          set st (get st +. float_of_int d);
-          get st)
-
-(* compiler over the C AST, for the fragments MIR carries opaquely;
-   same storage, same closures, so opaque nodes cost nothing extra *)
-and compile_cexpr g scope (e : C_ast.expr) : cexp =
-  match e with
-  | Var v when (not (Hashtbl.mem scope v)) && not (Hashtbl.mem g.globals v)
-    -> (
-      match Hashtbl.find_opt g.macros v with
-      | Some value -> const_of_value value
-      | None -> fail "unbound identifier %s" v)
-  | Var _ | Field _ | Arrow _ | Index _ -> (
-      match compile_clval g scope e with
-      | LI (t, get, _) -> CI (t, get)
-      | LF (_, get, _) -> CF get)
-  | Un (("++" | "--") as op, lv) -> compile_incdec g scope op lv
-  | Un (("-" | "!"), _) | Int_lit _ | Hex_lit _ | Float_lit _ | Call _
-  | Cast_to _ | Ternary _ ->
-      compile_expr g scope (Mir_of_c.lift_expr e)
-  | Bin (op, _, _) when Mir.bop_of_name op <> None ->
-      compile_expr g scope (Mir_of_c.lift_expr e)
-  | Bin (op, a, b) ->
-      let da = dyn (compile_cexpr g scope a)
-      and db = dyn (compile_cexpr g scope b) in
-      CD
-        (fun st ->
-          let x = da st in
-          let y = db st in
-          Silvm_value.binop op x y)
-  | Un (op, a) -> (
-      (* "+" and "~" via Silvm_value.unop; unknown operators raise the
-         interpreter's runtime error when (and only when) evaluated *)
-      match compile_cexpr g scope a with
-      | CI (t, f) when String.equal op "~" ->
-          let t = promote_ity t in
-          CI (t, fun st -> norm t (lnot (f st)))
-      | CI (t, f) when String.equal op "+" -> CI (promote_ity t, f)
-      | CF f when String.equal op "+" -> CF f
-      | ce ->
-          let d = dyn ce in
-          CD (fun st -> Silvm_value.unop op (d st)))
-  | Str_lit _ -> CD (fun _ -> unsupported "string literal")
 
 (* ---------------- statements ---------------- *)
 
@@ -881,23 +802,13 @@ and compile_stmt g scope (s : Mir.stmt) : (st -> unit) option =
       let d = Option.map (fun e -> dyn (compile_expr g scope e)) e in
       Some (fun st -> raise (Creturn (Option.map (fun f -> f st) d)))
   | Mir.Sblock b -> Some (compile_stmts g scope b)
-  | Mir.Sopaque cs -> compile_cstmt g scope cs
+  | Mir.Sopaque _ ->
+      (* like the interpreter's [Raw]: fails when run, not when compiled *)
+      let msg = "opaque statement: " ^ Mir_to_c.stmt_to_string s in
+      Some (fun _ -> raise (Silvm_interp.Unsupported msg))
 
 and compile_stmts g scope (ss : Mir.stmt list) : st -> unit =
   seq (List.filter_map (compile_stmt g scope) ss)
-
-and compile_cstmt g scope (s : C_ast.stmt) : (st -> unit) option =
-  match s with
-  | Expr (Un (("++" | "--") as op, lv)) -> (
-      let d = if String.equal op "++" then 1 else -1 in
-      match compile_clval g scope lv with
-      | LI (_, get, set) -> Some (fun st -> set st (get st + d))
-      | LF (_, get, set) -> Some (fun st -> set st (get st +. float_of_int d)))
-  | Assign (lhs, e) ->
-      let ce = compile_cexpr g scope e in
-      Some (store (compile_clval g scope lhs) ce)
-  | Raw raw -> Some (fun _ -> unsupported "raw statement: %s" raw)
-  | _ -> compile_stmt g scope (Mir_of_c.lift_stmt s)
 
 (* ---------------- functions ---------------- *)
 
@@ -1076,19 +987,12 @@ let actuator_buf st = st.actuator
 let sensor_count (g : code) = g.n_sensor
 let actuator_count (g : code) = g.n_actuator
 
-(* ad-hoc reads/writes over global storage (block-output signals, the
-   Inport fields): compiled once, then just a closure call per step *)
-let reader (g : code) (e : C_ast.expr) : st -> Silvm_value.t =
-  dyn (compile_cexpr g (Hashtbl.create 1) e)
-
-let writer (g : code) (e : C_ast.expr) : st -> Silvm_value.t -> unit =
-  let lv = compile_clval g (Hashtbl.create 1) e in
-  match lv with
-  | LI (t, _, set) -> fun st v -> set st (dyn_to_int t v)
-  | LF (_, _, set) -> fun st v -> set st (Silvm_value.to_float v)
-
-let read (g : code) st e = reader g e st
-let write (g : code) st e v = writer g e st v
+(* ad-hoc reads of global storage (block-output signals): compiled
+   once, then just a closure call per step *)
+let reader (g : code) (p : Mir.place) : st -> Silvm_value.t =
+  match compile_lval g (Hashtbl.create 1) p with
+  | LI (t, get, _) -> dyn (CI (t, get))
+  | LF (_, get, _) -> dyn (CF get)
 
 (* ---------------- content-hashed compile cache ----------------
 

@@ -1,9 +1,10 @@
 (** Closure compiler for the generated SIL application.
 
-    Compiles the translation units once (via the MIR lifting of
-    {!Mir_of_c}, with a C-AST fallback for opaque nodes) into OCaml
-    closures over a flat mutable state, bit-exact against
-    {!Silvm_interp} on the whole covered subset. The immutable compiled
+    Lifts the translation units into MIR ({!Mir_of_c}) and compiles
+    the MIR once into OCaml closures over a flat mutable state,
+    bit-exact against {!Silvm_interp} on every unit that lifts without
+    opaque nodes (all generated code does). An opaque node raises
+    {!Silvm_interp.Unsupported} when it is run, never at compile time. The immutable compiled
     [code] is shared — across instances, and across domains through the
     content-hashed {!compile_cached} — while each [st] instance owns its
     own cells, exchange buffers and externals. *)
@@ -50,11 +51,6 @@ val actuator_buf :
 val sensor_count : code -> int
 val actuator_count : code -> int
 
-val reader : code -> C_ast.expr -> st -> Silvm_value.t
-(** compile an ad-hoc read (e.g. [servo_B.pid_o0]) once; the returned
-    closure is cheap to call per step *)
-
-val writer : code -> C_ast.expr -> st -> Silvm_value.t -> unit
-
-val read : code -> st -> C_ast.expr -> Silvm_value.t
-val write : code -> st -> C_ast.expr -> Silvm_value.t -> unit
+val reader : code -> Mir.place -> st -> Silvm_value.t
+(** compile an ad-hoc read of a global place (e.g. [servo_B.pid_o0])
+    once; the returned closure is cheap to call per step *)

@@ -229,7 +229,7 @@ let rec resolve_cell t frame e =
           match Hashtbl.find_opt t.globals n with
           | Some c -> c
           | None -> fail "unbound identifier %s" n))
-  | Field (b, f) | Arrow (b, f) -> (
+  | Field (b, f) -> (
       match resolve_cell t frame b with
       | Cstruct fields -> (
           let n = Array.length fields in
@@ -258,7 +258,6 @@ and eval t frame e =
       if v <= 0x7FFFFFFF then Silvm_value.of_int Silvm_value.i32ty v
       else Silvm_value.of_int Silvm_value.u32ty v
   | Float_lit x -> Silvm_value.VF x
-  | Str_lit _ -> unsupported "string literal"
   | Var n -> (
       match Hashtbl.find_opt frame n with
       | Some c -> read_cell c
@@ -269,7 +268,7 @@ and eval t frame e =
               match Hashtbl.find_opt t.macros n with
               | Some v -> v
               | None -> fail "unbound identifier %s" n)))
-  | Field _ | Arrow _ | Index _ -> read_cell (resolve_cell t frame e)
+  | Field _ | Index _ -> read_cell (resolve_cell t frame e)
   | Call (fname, args) -> (
       match call_opt t fname (List.map (eval t frame) args) with
       | Some v -> v

@@ -310,6 +310,31 @@ let test_parallel_campaign_matches_sequential () =
   check_int "same steps per run" seq.Fault_campaign.steps_per_run
     par.Fault_campaign.steps_per_run
 
+(* a long-lived pool (ecsd serve) must not keep a finished campaign's
+   subjects alive: every subject built inside [run_parallel], on a
+   worker or on this domain, is collectable once the call returns *)
+let test_parallel_campaign_drops_subjects () =
+  let scenario =
+    match Fault_scenario.find "encoder-dropout" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  Exec_pool.with_pool ~workers:2 (fun pool ->
+      let built = Weak.create 8 and n = ref 0 and lock = Mutex.create () in
+      let mk () =
+        let s = fst (Servo_system.faultsim_subject ~scenario ()) in
+        Mutex.protect lock (fun () ->
+            Weak.set built !n (Some s);
+            incr n);
+        s
+      in
+      ignore (Fault_campaign.run_parallel ~t_end:0.1 ~seeds:4 ~pool ~scenario mk);
+      Gc.full_major ();
+      check_bool "subjects were built" true (!n >= 1);
+      for i = 0 to !n - 1 do
+        check_bool (Printf.sprintf "subject %d collected" i) false (Weak.check built i)
+      done)
+
 let test_campaign_stuck_reaches_safestop () =
   let r = campaign "sensor-stuck" in
   check_bool "all detected" true (Fault_campaign.all_detected r);
@@ -473,6 +498,8 @@ let suite =
       test_campaign_dropout;
     Alcotest.test_case "campaign: parallel matches sequential" `Quick
       test_parallel_campaign_matches_sequential;
+    Alcotest.test_case "campaign: parallel drops its subjects" `Quick
+      test_parallel_campaign_drops_subjects;
     Alcotest.test_case "campaign: stuck sensor reaches SafeStop" `Quick
       test_campaign_stuck_reaches_safestop;
     Alcotest.test_case "campaign: timing faults bite the watchdog" `Quick

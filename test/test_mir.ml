@@ -22,26 +22,56 @@ let assert_roundtrip what (arts : Target.artifacts) =
   check_string (what ^ ": lift/lower is the identity")
     (C_print.print_unit u) (C_print.print_unit again)
 
-let servo_arts ?(fixed = false) ?(mode = Blockgen.Hw) () =
+let servo_arts ?(fixed = false) ?(block_set = Servo_system.Pe_blocks)
+    ?(mode = Blockgen.Hw) ?(opt = false) () =
   let config =
     {
       Servo_system.default_config with
       Servo_system.variant =
         (if fixed then Servo_system.Fixed_pid else Servo_system.Float_pid);
+      block_set;
     }
   in
   let b = Servo_system.build ~config () in
   let comp = Compile.compile b.Servo_system.controller in
-  Target.generate ~mode ~name:"servo" ~project:b.Servo_system.project comp
+  Target.generate ~mode ~opt ~name:"servo" ~project:b.Servo_system.project comp
+
+(* every model the environment generates code for: servo float/fixed x
+   PE/AUTOSAR blocks, and isr-demo, in Hw and Pil mode, with and
+   without --opt *)
+let generated_arts =
+  lazy
+    (List.concat_map
+       (fun (mode, mname) ->
+         List.concat_map
+           (fun opt ->
+             let label what =
+               Printf.sprintf "%s %s%s" what mname (if opt then " --opt" else "")
+             in
+             let servo fixed block_set bname =
+               ( label
+                   (Printf.sprintf "servo %s %s"
+                      (if fixed then "fixed" else "float")
+                      bname),
+                 servo_arts ~fixed ~block_set ~mode ~opt () )
+             in
+             let m, project = Check.hazard_demo ~mcu () in
+             [
+               servo false Servo_system.Pe_blocks "pe";
+               servo true Servo_system.Pe_blocks "pe";
+               servo false Servo_system.Autosar_blocks "autosar";
+               servo true Servo_system.Autosar_blocks "autosar";
+               ( label "isr-demo",
+                 Target.generate ~mode ~opt ~name:"isr_demo" ~project
+                   (Compile.compile m) );
+             ])
+           [ false; true ])
+       [ (Blockgen.Hw, "hw"); (Blockgen.Pil, "pil") ])
 
 let test_roundtrip_generated () =
-  assert_roundtrip "servo float hw" (servo_arts ());
-  assert_roundtrip "servo fixed hw" (servo_arts ~fixed:true ());
-  assert_roundtrip "servo float pil" (servo_arts ~mode:Blockgen.Pil ());
-  let m, project = Check.hazard_demo ~mcu () in
-  let comp = Compile.compile m in
-  assert_roundtrip "isr-demo"
-    (Target.generate ~name:"isr_demo" ~project comp)
+  List.iter
+    (fun (what, arts) -> assert_roundtrip what arts)
+    (Lazy.force generated_arts)
 
 (* ---------------- the verifier ---------------- *)
 
@@ -51,19 +81,38 @@ let lift_unit items =
 let one_func ?(args = []) ?(ret = C_ast.I32) body =
   C_ast.Func_def (C_ast.func ret "probe" args body)
 
-let test_verifier_accepts_generated () =
-  let arts = servo_arts ~fixed:true () in
-  let { Mir_unit.env; funcs } =
-    Mir_unit.lift ~header:arts.Target.model_h.C_ast.items arts.Target.model_c
-  in
+(* generated code lifts completely: the closure compiler runs MIR only,
+   so an opaque node would be code SIL cannot execute *)
+let count_opaque body =
+  let n = ref 0 in
   List.iter
-    (fun (f, body) ->
-      match Mir_typecheck.check_func env f body with
-      | [] -> ()
-      | errs ->
-          Alcotest.failf "verifier rejects generated %s: %s" f.C_ast.fname
-            (String.concat "; " (List.map Mir_typecheck.pp_error errs)))
-    funcs
+    (Mir.iter_stmt
+       ~expr:(function Mir.Eopaque _ -> incr n | _ -> ())
+       ~stmt:(function Mir.Sopaque _ -> incr n | _ -> ()))
+    body;
+  !n
+
+let test_verifier_accepts_generated () =
+  List.iter
+    (fun (what, (arts : Target.artifacts)) ->
+      let { Mir_unit.env; funcs } =
+        Mir_unit.lift ~header:arts.Target.model_h.C_ast.items
+          arts.Target.model_c
+      in
+      List.iter
+        (fun (f, body) ->
+          (match Mir_typecheck.check_func env f body with
+          | [] -> ()
+          | errs ->
+              Alcotest.failf "%s: verifier rejects generated %s: %s" what
+                f.C_ast.fname
+                (String.concat "; " (List.map Mir_typecheck.pp_error errs)));
+          check_int
+            (Printf.sprintf "%s: %s lifts with no opaque node" what
+               f.C_ast.fname)
+            0 (count_opaque body))
+        funcs)
+    (Lazy.force generated_arts)
 
 let test_verifier_rejects_bad_programs () =
   (* % on a float operand violates the C integer-operator constraint *)

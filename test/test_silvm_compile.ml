@@ -315,7 +315,72 @@ let test_lazy_unsupported_functions () =
            Silvm_value.of_int Silvm_value.i32ty 2 ]
      with
     | _ -> false
-    | exception Silvm_interp.Unsupported _ -> true)
+    | exception Silvm_interp.Unsupported _ -> true);
+  (* a hand-written unit with the two constructs outside the compiled
+     subset: a [Raw] statement (an opaque MIR node) and [&x] (which
+     compiles, but neither engine can take an address) *)
+  let open C_ast in
+  let unit_ =
+    {
+      unit_name = "probe.c";
+      items =
+        [
+          Global
+            { gty = I32; gname = "x"; ginit = None; volatile = false;
+              static = false };
+          Global
+            { gty = I32; gname = "y"; ginit = None; volatile = false;
+              static = false };
+          Func_def
+            (func Void "probe" [ (I32, "take") ]
+               [
+                 Assign (Var "x", Int_lit 1);
+                 If (Var "take", [ Raw "__asm(\"nop\");" ], []);
+                 Assign (Var "y", Bin ("+", Var "x", Int_lit 1));
+               ]);
+          Func_def
+            (func Void "out_param" []
+               [ Expr (Call ("get", [ Un ("&", Var "x") ])) ]);
+        ];
+    }
+  in
+  let interp = Silvm_interp.create () in
+  Silvm_interp.add_unit interp unit_;
+  let code = Silvm_compile.compile [ unit_ ] in
+  let st = Silvm_compile.instantiate code in
+  let arg n = [ Silvm_value.of_int Silvm_value.i32ty n ] in
+  let outcome engine fn args =
+    match
+      match engine with
+      | `Interp -> Silvm_interp.call interp fn args
+      | `Compiled -> Silvm_compile.call code st fn args
+    with
+    | _ -> "ok"
+    | exception Silvm_interp.Unsupported _ -> "Unsupported"
+    | exception Silvm_value.Error _ -> "Error"
+  in
+  let expect what want fn args =
+    List.iter
+      (fun (name, engine) ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s (%s)" what name)
+          want (outcome engine fn args))
+      [ ("interpreted", `Interp); ("compiled", `Compiled) ]
+  in
+  let state engine =
+    List.map
+      (fun v ->
+        Silvm_value.to_string
+          (match engine with
+          | `Interp -> Silvm_interp.read interp (Var v)
+          | `Compiled -> Silvm_compile.reader code (Mir.Pvar v) st))
+      [ "x"; "y" ]
+  in
+  expect "raw statement in an untaken branch" "ok" "probe" (arg 0);
+  Alcotest.(check (list string))
+    "same state after the untaken branch" (state `Interp) (state `Compiled);
+  expect "raw statement in a taken branch" "Unsupported" "probe" (arg 1);
+  expect "&x" "Error" "out_param" []
 
 let qtest t = QCheck_alcotest.to_alcotest t
 
