@@ -560,7 +560,7 @@ let bench_json () =
           ] );
     ]
   in
-  let doc = Bench_json.bench ~name:"perf" ~steps ~wall_s ~extra snap in
+  let doc = Telemetry.bench ~name:"perf" ~steps ~wall_s ~extra snap in
   let path = "BENCH_perf.json" in
   Bench_json.write ~path doc;
   (* read back through the parser: the file must stay machine-readable *)

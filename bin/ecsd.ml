@@ -623,19 +623,6 @@ let validate_chaos () =
   try ignore (Supervise.Chaos.enabled ())
   with Invalid_argument msg -> die "%s" msg
 
-(* Per-job exit-code semantics, documented in `ecsd serve --help`:
-   0 success, 1 job-criterion failure (divergence / unrecovered run),
-   2 bad request, 3 deadline timeout, 4 crash, 5 poisoned (retries
-   exhausted), 6 shed (refused or killed). The serve process itself
-   exits 0 after a clean drain. *)
-let supervised_exit = function
-  | Supervise.Timeout _ -> 3
-  | Supervise.Crashed (Supervise.Bad_request _) -> 2
-  | Supervise.Crashed _ -> 4
-  | Supervise.Transient _ -> 4
-  | Supervise.Poisoned _ -> 5
-  | Supervise.Shed -> 6
-
 let policy_of_flags ~deadline_s ~retries =
   {
     Supervise.default_policy with
@@ -851,15 +838,6 @@ let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
       ~uptime_s:((Obs.now_ns () -. t0) *. 1e-9)
       outcome
   in
-  let error_fields ~job ~attempts err =
-    [
-      ("job", Str job);
-      ("class", Str (Supervise.error_class err));
-      ("error", Str (Supervise.error_message err));
-      ("attempts", Int attempts);
-      ("exit", Int (supervised_exit err));
-    ]
-  in
   let submit_job id line =
     Mutex.lock lock;
     incr pending;
@@ -872,22 +850,14 @@ let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
              parse time, so a bad count never reaches a worker *)
           match Job.of_line line with
           | Error msg ->
-              error_fields ~job:"error" ~attempts:0
+              Job.error_fields ~attempts:0
                 (Supervise.Crashed (Supervise.Bad_request msg))
-          | Ok job -> (
+          | Ok job ->
               (* the supervised envelope: deadline, retry/backoff,
                  chaos, kill-on-second-signal; never raises, so the
                  worker always survives the job *)
-              let o = Supervise.supervise ~policy ~killed ~label:line (run job) in
-              match o.Supervise.result with
-              | Ok fields ->
-                  if o.Supervise.attempts > 1 then
-                    fields @ [ ("attempts", Int o.Supervise.attempts) ]
-                  else fields
-              | Error (Supervise.Shed as err) ->
-                  error_fields ~job:"shed" ~attempts:o.Supervise.attempts err
-              | Error err ->
-                  error_fields ~job:"error" ~attempts:o.Supervise.attempts err)
+              Job.supervised_fields
+                (Supervise.supervise ~policy ~killed ~label:line (run job))
         in
         Obs.record_named "serve.job_s" ((Obs.now_ns () -. t_start) *. 1e-9);
         (* publish before emit so the heartbeat taken there (and any
@@ -906,9 +876,7 @@ let serve mcu period fixed jobs heartbeat prom no_flight deadline_s retries
     Mutex.unlock lock;
     emit id
       (to_string
-         (Obj
-            (("id", Int id)
-            :: error_fields ~job:"shed" ~attempts:0 Supervise.Shed)))
+         (Obj (("id", Int id) :: Job.error_fields ~attempts:0 Supervise.Shed)))
   in
   let admit id line =
     let backlog =

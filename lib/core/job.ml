@@ -356,6 +356,34 @@ let fields ~jobs_done ~uptime_s outcome =
         exit;
       ]
 
+(* Serve's per-job exit codes, documented in `ecsd serve --help`: 0
+   success, 1 job-criterion failure (divergence / unrecovered run), 2 bad
+   request, 3 deadline timeout, 4 crash, 5 poisoned (retries exhausted),
+   6 shed (refused or killed). *)
+let supervised_exit = function
+  | Supervise.Timeout _ -> 3
+  | Supervise.Crashed (Supervise.Bad_request _) -> 2
+  | Supervise.Crashed _ -> 4
+  | Supervise.Transient _ -> 4
+  | Supervise.Poisoned _ -> 5
+  | Supervise.Shed -> 6
+
+let error_fields ~attempts err =
+  [
+    ("job", Str (match err with Supervise.Shed -> "shed" | _ -> "error"));
+    ("class", Str (Supervise.error_class err));
+    ("error", Str (Supervise.error_message err));
+    ("attempts", Int attempts);
+    ("exit", Int (supervised_exit err));
+  ]
+
+let supervised_fields (o : _ Supervise.outcome) =
+  match o.Supervise.result with
+  | Ok fields when o.Supervise.attempts > 1 ->
+      fields @ [ ("attempts", Int o.Supervise.attempts) ]
+  | Ok fields -> fields
+  | Error err -> error_fields ~attempts:o.Supervise.attempts err
+
 let report_json = function
   | Diffed { job; scenario; reports } -> (
       let head = [ ("name", Str (model_name job.model)); ("git_rev", Str (git_rev ()));

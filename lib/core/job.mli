@@ -135,6 +135,19 @@ val fields : jobs_done:int -> uptime_s:float -> outcome -> (string * Bench_json.
     describe the server and appear only in a [Stats] record. A diff
     sweep reports its first diverging seed (or its first seed). *)
 
+val supervised_exit : Supervise.error -> int
+(** A failed serve job's ["exit"] field: 2 bad request, 3 deadline
+    timeout, 4 crash or transient, 5 poisoned, 6 shed. *)
+
+val error_fields : attempts:int -> Supervise.error -> (string * Bench_json.t) list
+(** Serve's record of a failed job: ["job"] (["shed"] or ["error"]),
+    ["class"], ["error"], ["attempts"] and ["exit"]. *)
+
+val supervised_fields :
+  (string * Bench_json.t) list Supervise.outcome -> (string * Bench_json.t) list
+(** Serve's record of a supervised job: its {!fields}, followed by
+    ["attempts"] when it took more than one, or its {!error_fields}. *)
+
 val report_json : outcome -> Bench_json.t
 (** The [DIFF_<model>.json] or [FAULT_<model>.json] document. *)
 

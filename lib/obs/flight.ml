@@ -22,12 +22,17 @@
    - Engine-level events (compile-cache hits/misses, closure compilation)
      are attributed to the pseudo-track [engine_track] = -1. Cache races are
      scheduling-dependent, so they must never leak into a per-run forensics
-     bundle; they are still visible via [ring_dump] for interactive use.
+     bundle; they stay readable through [events (recorder ())].
 
    - Bundles carry only virtual time (step index, simulated seconds), never
-     wall-clock, so byte-comparison across runs and job counts is exact. *)
+     wall-clock, so byte-comparison across runs and job counts is exact.
 
-type kind = Step | Signal | Fault | Engine | Mark
+   - Obs tracing spans are events of the [Span] kind, recorded into a
+     separate ring per domain (owned by the Obs sink) on a per-domain
+     wall-clock track below [engine_track]. They never enter the ring
+     above, so a run's capture window stays a function of the run alone. *)
+
+type kind = Step | Signal | Fault | Engine | Mark | Span
 
 let kind_name = function
   | Step -> "step"
@@ -35,22 +40,32 @@ let kind_name = function
   | Fault -> "fault"
   | Engine -> "engine"
   | Mark -> "mark"
+  | Span -> "span"
 
 (* slot encoding: 0 = empty; recorders store 1=step 2=signal 3=fault
-   4=engine 5=mark directly *)
+   4=engine 5=mark 6=span directly *)
 let kind_of_code = function
   | 1 -> Step
   | 2 -> Signal
   | 3 -> Fault
   | 4 -> Engine
-  | _ -> Mark
+  | 5 -> Mark
+  | _ -> Span
+
+let code_of_kind = function
+  | Step -> 1
+  | Signal -> 2
+  | Fault -> 3
+  | Engine -> 4
+  | Mark -> 5
+  | Span -> 6
 
 type event = {
   ev_kind : kind;
   ev_track : int;
   ev_seq : int;  (* per-track sequence number, 0-based *)
   ev_step : int;  (* simulation step index, -1 if not applicable *)
-  ev_time : float;  (* simulated seconds, not wall clock *)
+  ev_time : float;  (* simulated seconds; a span's monotonic start *)
   ev_value : float;
   ev_arg : int;  (* port index / fired flag, event-kind specific *)
   ev_label : string;
@@ -74,6 +89,7 @@ type ring = {
 }
 
 let engine_track = -1
+let wall_track dom = engine_track - 1 - dom
 let on = ref false
 let enabled () = !on
 let set_enabled b = on := b
@@ -81,7 +97,7 @@ let set_enabled b = on := b
 (* read at ring creation; set it before any domain records *)
 let default_capacity = ref 4096
 
-let ring_create cap =
+let create cap =
   {
     cap;
     kinds = Array.make cap 0;
@@ -99,13 +115,13 @@ let ring_create cap =
     eng_seq = 0;
   }
 
-let ring_key = Domain.DLS.new_key (fun () -> ring_create !default_capacity)
+let ring_key = Domain.DLS.new_key (fun () -> create !default_capacity)
 let ring () = Domain.DLS.get ring_key
 
 let set_capacity n =
   if n < 1 then invalid_arg "Flight.set_capacity";
   default_capacity := n;
-  Domain.DLS.set ring_key (ring_create n)
+  Domain.DLS.set ring_key (create n)
 
 let capacity () = (ring ()).cap
 
@@ -120,8 +136,9 @@ let begin_track ~id ~name =
 let current_track () = (ring ()).track
 
 (* hot path: one bounds check avoided per field via unsafe stores; the slot
-   index is (next mod cap) by construction *)
-let record r code track seq step time value arg label =
+   index is (next mod cap) by construction. Inlined so a caller that
+   computes its floats (a span's start and duration) stores them unboxed. *)
+let[@inline] store r code track seq step time value arg label =
   let i = r.next in
   Array.unsafe_set r.kinds i code;
   Array.unsafe_set r.tracks i track;
@@ -133,6 +150,10 @@ let record r code track seq step time value arg label =
   Array.unsafe_set r.labels i label;
   let j = i + 1 in
   r.next <- (if j = r.cap then 0 else j)
+
+(* out of line for the recorders: their floats arrive boxed anyway *)
+let record r code track seq step time value arg label =
+  store r code track seq step time value arg label
 
 let record_track r code step time value arg label =
   let s = r.seq in
@@ -147,8 +168,6 @@ let signal ~step ~time ~port ~value label =
 
 (* batched variants: the caller fetched the domain's ring once and
    checked [enabled] itself — per-event cost is then just the stores *)
-type recorder = ring
-
 let recorder () = ring ()
 let step_mark_r r ~step ~time label = record_track r 1 step time 0.0 0 label
 
@@ -170,6 +189,49 @@ let engine label =
 let mark ?(step = -1) ?(time = 0.0) ?(value = 0.0) label =
   if !on then record_track (ring ()) 5 step time value 0 label
 
+(* a completed span on the calling domain's wall-clock track; the clock
+   readings arrive as integer nanoseconds so nothing is boxed *)
+let span_r r ~start_ns ~end_ns ~depth ~count label =
+  let s = r.seq in
+  r.seq <- s + 1;
+  store r 6
+    (wall_track (Domain.self () :> int))
+    s depth
+    (float_of_int start_ns *. 1e-9)
+    (float_of_int (end_ns - start_ns) *. 1e-9)
+    count label
+
+let store_event r e =
+  record r (code_of_kind e.ev_kind) e.ev_track e.ev_seq e.ev_step e.ev_time
+    e.ev_value e.ev_arg e.ev_label
+
+let clear r =
+  Array.fill r.kinds 0 r.cap 0;
+  r.next <- 0;
+  r.seq <- 0;
+  r.eng_seq <- 0
+
+let event_at r i =
+  {
+    ev_kind = kind_of_code r.kinds.(i);
+    ev_track = r.tracks.(i);
+    ev_seq = r.seqs.(i);
+    ev_step = r.steps.(i);
+    ev_time = r.times.(i);
+    ev_value = r.values.(i);
+    ev_arg = r.args.(i);
+    ev_label = r.labels.(i);
+  }
+
+(* the ring's events, oldest first *)
+let events r =
+  let evs = ref [] in
+  for k = r.cap - 1 downto 0 do
+    let i = (r.next + k) mod r.cap in
+    if r.kinds.(i) <> 0 then evs := event_at r i :: !evs
+  done;
+  Array.of_list !evs
+
 (* -- capture ------------------------------------------------------------- *)
 
 type bundle = {
@@ -187,18 +249,7 @@ let snapshot_track r ~reason =
   let evs = ref [] in
   for i = r.cap - 1 downto 0 do
     if r.kinds.(i) <> 0 && r.tracks.(i) = r.track then
-      evs :=
-        {
-          ev_kind = kind_of_code r.kinds.(i);
-          ev_track = r.tracks.(i);
-          ev_seq = r.seqs.(i);
-          ev_step = r.steps.(i);
-          ev_time = r.times.(i);
-          ev_value = r.values.(i);
-          ev_arg = r.args.(i);
-          ev_label = r.labels.(i);
-        }
-        :: !evs
+      evs := event_at r i :: !evs
   done;
   let events =
     List.sort (fun a b -> compare a.ev_seq b.ev_seq) !evs
@@ -236,29 +287,7 @@ let clear_captures () =
 
 let reset () =
   clear_captures ();
-  Domain.DLS.set ring_key (ring_create !default_capacity)
-
-(* raw dump of the calling domain's ring, oldest first; interactive use *)
-let ring_dump () =
-  let r = ring () in
-  let evs = ref [] in
-  for k = r.cap - 1 downto 0 do
-    let i = (r.next + k) mod r.cap in
-    if r.kinds.(i) <> 0 then
-      evs :=
-        {
-          ev_kind = kind_of_code r.kinds.(i);
-          ev_track = r.tracks.(i);
-          ev_seq = r.seqs.(i);
-          ev_step = r.steps.(i);
-          ev_time = r.times.(i);
-          ev_value = r.values.(i);
-          ev_arg = r.args.(i);
-          ev_label = r.labels.(i);
-        }
-        :: !evs
-  done;
-  !evs
+  Domain.DLS.set ring_key (create !default_capacity)
 
 (* -- export -------------------------------------------------------------- *)
 
@@ -300,49 +329,50 @@ let captures_jsonl () =
   List.iter (fun b -> bundle_jsonl b buf) (captures ());
   Buffer.contents buf
 
-let esc s =
-  let b = Buffer.create (String.length s) in
-  Obs.json_escape b s;
-  Buffer.contents b
-
-(* Chrome-trace view: one lane (tid) per track, instant events placed at
-   simulated-microsecond timestamps *)
-let captures_chrome () =
+(* The one Chrome-trace writer (JSON Array form; chrome://tracing and
+   Perfetto). One lane per element of [lanes], tid = its rank + 1; Span
+   events become complete "X" events (wall clock, rounded to the clock's
+   nanosecond), every other kind an instant "i" event; timestamps in
+   microseconds since [origin] seconds. *)
+let chrome_trace ~process ~origin lanes =
+  let open Bench_json in
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[";
-  let first = ref true in
-  let emit s =
-    if !first then first := false else Buffer.add_string buf ",\n";
-    Buffer.add_string buf s
+  let emit v =
+    Buffer.add_string buf (if Buffer.length buf = 0 then "[" else ",\n");
+    Buffer.add_string buf (to_string v)
   in
-  emit
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-     \"args\":{\"name\":\"ecsd flight recorder\"}}";
-  List.iter
-    (fun b ->
-      let tid = b.b_track + 2 in
-      (* keep tids positive; engine pseudo-track -1 maps to 1 *)
-      emit
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\
-            \"args\":{\"name\":\"track %d %s\"}}"
-           tid b.b_track (esc b.b_name));
+  let us t = Float (t *. 1e6) in
+  let ns t = Float (Float.round (t *. 1e9) /. 1e3) in
+  let meta name tid args =
+    Obj
+      [ ("name", Str name); ("ph", Str "M"); ("pid", Int 1); ("tid", Int tid);
+        ("args", Obj args) ]
+  in
+  emit (meta "process_name" 0 process);
+  List.iteri
+    (fun k (lane, evs) ->
+      let tid = k + 1 in
+      emit (meta "thread_name" tid [ ("name", Str lane) ]);
       List.iter
         (fun e ->
-          let ts = e.ev_time *. 1e6 in
+          let t = e.ev_time -. origin in
+          let ph, extra, ts, args =
+            match e.ev_kind with
+            | Span ->
+                ("X", ("dur", ns e.ev_value), ns t,
+                 [ ("depth", Int e.ev_step); ("count", Int e.ev_arg) ])
+            | _ ->
+                ("i", ("s", Str "t"), us t,
+                 [ ("seq", Int e.ev_seq); ("step", Int e.ev_step);
+                   ("value", Float e.ev_value); ("arg", Int e.ev_arg) ])
+          in
           emit
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\",\
-                \"ts\":%s,\"pid\":1,\"tid\":%d,\"args\":{\"seq\":%d,\
-                \"step\":%d,\"value\":%s,\"arg\":%d}}"
-               (esc e.ev_label)
-               (kind_name e.ev_kind)
-               (Bench_json.float_str ts)
-               tid e.ev_seq e.ev_step
-               (Bench_json.float_str e.ev_value)
-               e.ev_arg))
-        b.b_events)
-    (captures ());
+            (Obj
+               [ ("name", Str e.ev_label); ("cat", Str (kind_name e.ev_kind));
+                 ("ph", Str ph); extra; ("ts", ts); ("pid", Int 1);
+                 ("tid", Int tid); ("args", Obj args) ]))
+        evs)
+    lanes;
   Buffer.add_string buf "]\n";
   Buffer.contents buf
 
@@ -359,6 +389,13 @@ let write_captures ~prefix =
       close_out oc
     in
     dump jsonl_path (captures_jsonl ());
-    dump trace_path (captures_chrome ());
+    (* one virtual-time timeline, a lane per captured track *)
+    dump trace_path
+      (chrome_trace
+         ~process:[ ("name", Bench_json.Str "ecsd flight recorder") ]
+         ~origin:0.0
+         (List.map
+            (fun b -> (Printf.sprintf "track %d %s" b.b_track b.b_name, b.b_events))
+            (captures ())));
     Some (jsonl_path, trace_path)
   end

@@ -3,6 +3,9 @@
    bail-out that touches no heap, reads no clock and takes no lock, so a
    disabled build pays one load + branch per call site.
 
+   Completed spans are Flight [Span] events: each sink owns a wall-clock
+   Flight ring, and [span_end] stores into it with no allocation.
+
    Collection state is *domain-local*: each domain owns a private sink
    (counters, gauges, histograms, span ring + stack) reached through
    [Domain.DLS], so worker domains of the campaign pool record without
@@ -73,27 +76,6 @@ let all_hists () =
   locked reg_mutex @@ fun () ->
   List.rev_map (fun n -> Hashtbl.find hist_reg n) !hist_names
 
-(* ---------- spans ---------- *)
-
-type span = {
-  sp_name : string;
-  sp_start_ns : float;
-  sp_dur_ns : float;
-  sp_depth : int;
-  sp_count : int;
-  sp_dom : int;  (* domain the span completed on; Chrome lane assignment *)
-}
-
-let dummy_span =
-  {
-    sp_name = "";
-    sp_start_ns = 0.0;
-    sp_dur_ns = 0.0;
-    sp_depth = 0;
-    sp_count = 0;
-    sp_dom = 0;
-  }
-
 let max_depth = 64
 
 (* ---------- histograms ----------
@@ -155,35 +137,40 @@ type sink = {
   mutable counts : int array; (* indexed by counter id *)
   mutable hcells : hcell option array; (* indexed by hist id *)
   sk_gauges : (string, float ref) Hashtbl.t;
-  mutable ring : span array;
-  mutable ring_next : int; (* next write slot *)
-  mutable ring_total : int; (* spans ever completed since reset *)
+  mutable spans : Flight.ring; (* completed spans; [no_ring] until the first *)
   stack_name : string array;
-  stack_t0 : float array;
+  stack_t0 : int array; (* monotonic ns at entry *)
   stack_cnt : int array;
   mutable depth : int;
 }
 
-let sink_create ?(ring_cap = 8192) () =
+(* Span rings are allocated on first use: most sinks (pool workers with
+   collection off) never record a span. [no_ring], shared by every sink
+   without one, is never written. *)
+let ring_capacity = ref 8192
+let no_ring = Flight.create 1
+
+let sink_create () =
   {
     counts = Array.make 64 0;
     hcells = Array.make 16 None;
     sk_gauges = Hashtbl.create 8;
-    ring = Array.make ring_cap dummy_span;
-    ring_next = 0;
-    ring_total = 0;
+    spans = no_ring;
     stack_name = Array.make max_depth "";
-    stack_t0 = Array.make max_depth 0.0;
+    stack_t0 = Array.make max_depth 0;
     stack_cnt = Array.make max_depth 0;
     depth = 0;
   }
+
+let span_ring s =
+  if s.spans == no_ring then s.spans <- Flight.create !ring_capacity;
+  s.spans
 
 let sink_clear s =
   Array.fill s.counts 0 (Array.length s.counts) 0;
   Array.iter (function Some c -> hcell_clear c | None -> ()) s.hcells;
   Hashtbl.reset s.sk_gauges;
-  s.ring_next <- 0;
-  s.ring_total <- 0;
+  if s.spans != no_ring then Flight.clear s.spans;
   s.depth <- 0
 
 let sink_key = Domain.DLS.new_key (fun () -> sink_create ())
@@ -225,16 +212,12 @@ let hcell_of s id =
 
 let set_ring_capacity n =
   if n < 1 then invalid_arg "Obs.set_ring_capacity";
-  let s = local () in
-  s.ring <- Array.make n dummy_span;
-  s.ring_next <- 0;
-  s.ring_total <- 0
+  ring_capacity := n;
+  (local ()).spans <- no_ring;
+  locked pub_mutex (fun () -> published.spans <- no_ring)
 
-let push_ring s sp =
-  let r = s.ring in
-  r.(s.ring_next) <- sp;
-  s.ring_next <- (s.ring_next + 1) mod Array.length r;
-  s.ring_total <- s.ring_total + 1
+(* the monotonic clock as an unboxed int, for the span stack *)
+let clock_ns () = Int64.to_int (Monotonic_clock.now ())
 
 let span_begin name =
   if !on then begin
@@ -243,7 +226,7 @@ let span_begin name =
     if d < max_depth then begin
       s.stack_name.(d) <- name;
       s.stack_cnt.(d) <- 0;
-      s.stack_t0.(d) <- now_ns ()
+      s.stack_t0.(d) <- clock_ns ()
     end;
     s.depth <- d + 1
   end
@@ -255,15 +238,9 @@ let span_end () =
       let d = s.depth - 1 in
       s.depth <- d;
       if d < max_depth then
-        push_ring s
-          {
-            sp_name = s.stack_name.(d);
-            sp_start_ns = s.stack_t0.(d);
-            sp_dur_ns = now_ns () -. s.stack_t0.(d);
-            sp_depth = d;
-            sp_count = s.stack_cnt.(d);
-            sp_dom = (Domain.self () :> int);
-          }
+        Flight.span_r (span_ring s) ~start_ns:s.stack_t0.(d)
+          ~end_ns:(clock_ns ()) ~depth:d ~count:s.stack_cnt.(d)
+          s.stack_name.(d)
     end
   end
 
@@ -281,33 +258,28 @@ let bump n =
     if d >= 0 && d < max_depth then s.stack_cnt.(d) <- s.stack_cnt.(d) + n
   end
 
-let sink_spans s =
-  let r = s.ring in
-  let cap = Array.length r in
-  let n = min s.ring_total cap in
-  let first = if s.ring_total <= cap then 0 else s.ring_next in
-  Array.init n (fun i -> r.((first + i) mod cap))
-
-let span_order a b =
-  (* deterministic total order: permutation-independent merging *)
-  let c = Float.compare a.sp_start_ns b.sp_start_ns in
+(* deterministic total order, for permutation-independent merging: start,
+   duration, name, depth, count, then the domain — ascending, so the
+   wall tracks (counting down from -2) compare swapped *)
+let span_order (a : Flight.event) (b : Flight.event) =
+  let c = Float.compare a.ev_time b.ev_time in
   if c <> 0 then c
   else
-    let c = Float.compare a.sp_dur_ns b.sp_dur_ns in
+    let c = Float.compare a.ev_value b.ev_value in
     if c <> 0 then c
     else
-      let c = String.compare a.sp_name b.sp_name in
+      let c = String.compare a.ev_label b.ev_label in
       if c <> 0 then c
       else
-        let c = compare a.sp_depth b.sp_depth in
+        let c = Int.compare a.ev_step b.ev_step in
         if c <> 0 then c
         else
-          let c = compare a.sp_count b.sp_count in
-          if c <> 0 then c else compare a.sp_dom b.sp_dom
+          let c = Int.compare a.ev_arg b.ev_arg in
+          if c <> 0 then c else Int.compare b.ev_track a.ev_track
 
 let spans () =
-  let own = sink_spans (local ()) in
-  let pub = locked pub_mutex (fun () -> sink_spans published) in
+  let own = Flight.events (local ()).spans in
+  let pub = locked pub_mutex (fun () -> Flight.events published.spans) in
   if Array.length pub = 0 then own
   else begin
     let all = Array.append pub own in
@@ -451,7 +423,7 @@ module Export = struct
     e_counters : (string * int) list; (* sorted by name, nonzero only *)
     e_gauges : (string * float) list; (* sorted by name *)
     e_hists : (string * hcell) list; (* sorted by name, nonempty only *)
-    e_spans : span list; (* sorted by span_order *)
+    e_spans : Flight.event list; (* sorted by span_order *)
   }
 
   let empty = { e_counters = []; e_gauges = []; e_hists = []; e_spans = [] }
@@ -481,7 +453,7 @@ module Export = struct
         Hashtbl.fold (fun k r acc -> (k, !r) :: acc) s.sk_gauges []
         |> List.sort by_name;
       e_hists = List.sort by_name hs;
-      e_spans = List.sort span_order (Array.to_list (sink_spans s));
+      e_spans = List.sort span_order (Array.to_list (Flight.events s.spans));
     }
 
   let of_local () = of_sink (local ())
@@ -521,7 +493,6 @@ module Export = struct
   let counters e = e.e_counters
   let gauges e = e.e_gauges
   let hists e = List.map (fun (n, c) -> (n, hcell_summary c)) e.e_hists
-  let spans e = e.e_spans
 
   (* fold an export into a sink (registry ids resolved by name) *)
   let absorb_into s e =
@@ -542,7 +513,9 @@ module Export = struct
         let h = hist n in
         hcell_fold ~into:(hcell_of s h.h_id) src)
       e.e_hists;
-    List.iter (fun sp -> push_ring s sp) e.e_spans
+    match e.e_spans with
+    | [] -> ()
+    | sps -> List.iter (Flight.store_event (span_ring s)) sps
 
   let absorb e = locked pub_mutex (fun () -> absorb_into published e)
 end
@@ -593,70 +566,25 @@ let reset () =
 
 (* ---------- Chrome trace export ---------- *)
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let chrome_trace () =
-  let sps = spans () in
-  let t0 =
-    Array.fold_left
-      (fun acc sp -> if sp.sp_start_ns < acc then sp.sp_start_ns else acc)
-      infinity sps
-  in
-  let t0 = if Float.is_finite t0 then t0 else 0.0 in
-  (* one lane per domain: map distinct domain ids (sorted, so the
-     assignment is deterministic) to compact tids starting at 1 *)
-  let doms =
-    Array.fold_left (fun acc sp -> sp.sp_dom :: acc) [] sps
-    |> List.sort_uniq compare
-  in
-  let tid_of d =
-    let rec idx i = function
-      | [] -> 1
-      | x :: t -> if x = d then i else idx (i + 1) t
-    in
-    idx 1 doms
-  in
-  let b = Buffer.create (4096 + (Array.length sps * 96)) in
-  Buffer.add_string b "{\"traceEvents\":[";
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"ecsd\",\"wall_start\":%.6f}}"
-       !wall0);
-  List.iter
-    (fun d ->
-      Buffer.add_string b
-        (Printf.sprintf
-           ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"domain %d\"}}"
-           (tid_of d) d))
-    doms;
-  Array.iter
-    (fun sp ->
-      Buffer.add_string b ",{\"name\":\"";
-      json_escape b sp.sp_name;
-      Buffer.add_string b
-        (Printf.sprintf
-           "\",\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"depth\":%d,\"count\":%d}}"
-           (tid_of sp.sp_dom)
-           ((sp.sp_start_ns -. t0) /. 1e3)
-           (sp.sp_dur_ns /. 1e3) sp.sp_depth sp.sp_count))
-    sps;
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
+(* one lane per domain, in domain order, timestamps from the first span *)
 let write_chrome_trace ~path =
+  let sps = Array.to_list (spans ()) in
+  let origin =
+    List.fold_left (fun t (e : Flight.event) -> Float.min t e.ev_time) infinity sps
+  in
+  let domains =
+    List.sort_uniq compare
+      (List.map (fun (e : Flight.event) -> Flight.wall_track 0 - e.ev_track) sps)
+  in
+  let lane d =
+    ( Printf.sprintf "domain %d" d,
+      List.filter (fun (e : Flight.event) -> e.ev_track = Flight.wall_track d) sps )
+  in
+  let doc =
+    Flight.chrome_trace
+      ~process:[ ("name", Bench_json.Str "ecsd"); ("wall_start", Bench_json.Float !wall0) ]
+      ~origin:(if Float.is_finite origin then origin else 0.0)
+      (List.map lane domains)
+  in
   let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (chrome_trace ()))
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc doc)

@@ -3,10 +3,12 @@
     The paper's PIL stage exists to *measure* the generated application
     (execution times, response latency, jitter, memory). This module
     gives the environment itself the same treatment: nestable timed
-    spans recorded into a ring buffer, process-wide counters / gauges /
-    log-scale latency histograms, and snapshot/export APIs consumed by
-    {!Bench_json}, the [ecsd --trace/--metrics] flags and the bench
-    harness.
+    spans, process-wide counters / gauges / log-scale latency
+    histograms, and snapshot/export APIs consumed by {!Telemetry}, the
+    [ecsd --trace/--metrics] flags and the bench harness.
+
+    A completed span is a {!Flight.event} of kind [Span] in a per-domain
+    wall-clock {!Flight.ring} (layout and trace writer in {!Flight}).
 
     Everything is disabled by default and strictly zero-cost when
     disabled: each entry point checks {!enabled} once and the disabled
@@ -38,18 +40,9 @@ val wall_anchor : unit -> float
 
 (** {2 Spans}
 
-    Spans nest: [span_begin]/[span_end] maintain an explicit stack (no
-    allocation per span) and completed spans land in a bounded ring
-    buffer, oldest evicted first. *)
-
-type span = {
-  sp_name : string;
-  sp_start_ns : float;  (** monotonic, see {!now_ns} *)
-  sp_dur_ns : float;
-  sp_depth : int;  (** nesting depth at entry, outermost = 0 *)
-  sp_count : int;  (** per-span counter, bumped by {!bump} *)
-  sp_dom : int;  (** id of the domain the span completed on *)
-}
+    Spans nest: [span_begin]/[span_end] maintain an explicit stack and
+    completed spans land in the domain's bounded span ring, oldest
+    evicted first. A traced begin/end pair allocates nothing. *)
 
 val span_begin : string -> unit
 val span_end : unit -> unit
@@ -63,22 +56,21 @@ val bump : int -> unit
 (** Add to the innermost open span's counter (e.g. events fired during
     this step). No-op when disabled or outside any span. *)
 
-val spans : unit -> span array
-(** Ring contents, oldest first, in span-completion order. *)
+val spans : unit -> Flight.event array
+(** The calling domain's spans, oldest first, in completion order;
+    merged with the published ones (in {!Export}'s order) when any were
+    published. *)
 
 val set_ring_capacity : int -> unit
-(** Default 8192 completed spans; clears the ring. *)
-
-val chrome_trace : unit -> string
-(** The ring as a Chrome [chrome://tracing] / Perfetto JSON document
-    (complete "X" events, microsecond timestamps, one [tid] lane per
-    domain with [thread_name] metadata). *)
+(** Span ring slots (default 8192), with {!Flight.set_capacity}'s
+    semantics: the default for rings created later (other domains'
+    sinks), and it also replaces — emptying — the calling domain's ring
+    and the published one. *)
 
 val write_chrome_trace : path:string -> unit
-
-val json_escape : Buffer.t -> string -> unit
-(** Append [s] to [b] with JSON string escaping (shared by the trace
-    exporters). *)
+(** {!spans} as a Chrome-trace JSON array (chrome://tracing, Perfetto):
+    complete ["X"] events, microseconds from the first span, one lane
+    per domain, [wall_start] ({!wall_anchor}) in the process metadata. *)
 
 (** {2 Counters and gauges} *)
 
@@ -158,8 +150,8 @@ val publish : unit -> unit
     tooling. [merge] is associative; counter sums and histogram bucket
     sums are also commutative, so any merge tree over the same exports
     yields the same totals. Spans merge into a deterministic total
-    order (start time, then duration/name/depth/count). Gauges merge
-    with [Float.max]. *)
+    order (start time, then duration/name/depth/count/domain). Gauges
+    merge with [Float.max]. *)
 module Export : sig
   type t
 
@@ -175,7 +167,6 @@ module Export : sig
 
   val gauges : t -> (string * float) list
   val hists : t -> (string * hist_summary) list
-  val spans : t -> span list
 
   val absorb : t -> unit
   (** Fold an export into the published aggregate. *)

@@ -1,5 +1,6 @@
-(* Live-metrics export on top of the Obs registry: Prometheus-style text
-   exposition and the JSONL heartbeat lines `ecsd serve` emits.
+(* Exports of the Obs registry: the BENCH_<name>.json document,
+   Prometheus-style text exposition and the JSONL heartbeat lines
+   `ecsd serve` emits.
 
    Named [Telemetry] rather than [Metrics]: every library here is built
    with (wrapped false) and lib/control already owns the [Metrics] module
@@ -19,6 +20,41 @@ let sanitize name =
       | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> c
       | _ -> '_')
     name
+
+let summary_json (hs : Obs.hist_summary) =
+  Bench_json.Obj
+    [
+      ("count", Bench_json.Int hs.Obs.hs_count);
+      ("min", Bench_json.Float hs.Obs.hs_min);
+      ("max", Bench_json.Float hs.Obs.hs_max);
+      ("mean", Bench_json.Float hs.Obs.hs_mean);
+      ("p50", Bench_json.Float hs.Obs.hs_p50);
+      ("p95", Bench_json.Float hs.Obs.hs_p95);
+      ("p99", Bench_json.Float hs.Obs.hs_p99);
+    ]
+
+let of_snapshot (snap : Obs.snapshot) =
+  let open Bench_json in
+  [
+    ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) snap.Obs.counters));
+    ("gauges", Obj (List.map (fun (k, v) -> (k, Float v)) snap.Obs.gauges));
+    ( "histograms",
+      Obj (List.map (fun (k, hs) -> (k, summary_json hs)) snap.Obs.hists) );
+  ]
+
+let bench ~name ~steps ~wall_s ?(extra = []) snap =
+  let open Bench_json in
+  Obj
+    ([
+       ("name", Str name);
+       ("git_rev", Str (git_rev ()));
+       ("steps", Int steps);
+       ("wall_s", Float wall_s);
+       ( "steps_per_s",
+         Float (if wall_s > 0.0 then float_of_int steps /. wall_s else 0.0) );
+     ]
+    @ extra
+    @ of_snapshot snap)
 
 let prometheus () =
   let snap = Obs.snapshot () in

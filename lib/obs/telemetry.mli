@@ -1,5 +1,6 @@
-(** Live-metrics export: Prometheus text exposition and `ecsd serve`
-    heartbeat lines, both built from the {!Obs} registry snapshot.
+(** Exports of the {!Obs} registry snapshot: the [BENCH_<name>.json]
+    document, Prometheus text exposition and `ecsd serve` heartbeat
+    lines.
 
     (Named [Telemetry] because lib/control, also [(wrapped false)],
     already owns the module name [Metrics].) *)
@@ -7,6 +8,17 @@
 val wall : float -> float
 (** Identity, or [0.0] when [ECSD_WALL_ZERO] is set — keeps wall-derived
     fields byte-comparable across runs. *)
+
+val bench :
+  name:string ->
+  steps:int ->
+  wall_s:float ->
+  ?extra:(string * Bench_json.t) list ->
+  Obs.snapshot ->
+  Bench_json.t
+(** The full [BENCH_<name>.json] document (see README "BENCH_*.json"):
+    name, [git_rev], steps, [wall_s], computed [steps_per_s], [extra],
+    then the snapshot's [counters], [gauges] and [histograms]. *)
 
 val sanitize : string -> string
 (** Dotted registry name to a Prometheus-legal name fragment. *)

@@ -2,9 +2,10 @@
     recorded spans and a metrics table for snapshots — the terminal
     counterpart of the Chrome-trace JSON export. *)
 
-val flame_summary : Obs.span array -> string
-(** Aggregate spans by (nesting depth, name): calls, total/mean/max
-    time and share of the outermost total, indented by depth. *)
+val flame_summary : Flight.event array -> string
+(** Aggregate span events ({!Obs.spans}) by (nesting depth, name):
+    calls, total/mean/max time and share of the outermost total,
+    indented by depth. *)
 
 val metrics_table : Obs.snapshot -> string
 (** Counters, gauges and histogram summaries (latency columns rendered

@@ -78,24 +78,31 @@ let test_track_filtering_and_capture_once () =
 
 (* a synthetic campaign: [tracks] runs of [events] deterministic events
    each, sharded (or not) over a pool; every run captures at its end *)
-let run_campaign ~workers ~tracks ~events ~capacity =
+let run_campaign ~obs ~workers ~tracks ~events ~capacity =
   Flight.reset ();
   Flight.set_capacity capacity;
   Flight.set_enabled true;
+  Obs.reset ();
+  Obs.set_enabled obs;
   Fun.protect
     ~finally:(fun () ->
       Flight.set_enabled false;
-      Flight.set_capacity 4096)
+      Flight.set_capacity 4096;
+      Obs.set_enabled false;
+      Obs.reset ())
   @@ fun () ->
   let work i =
     let id = i + 1 in
     Flight.begin_track ~id ~name:"stress";
     for k = 0 to events - 1 do
+      (* traced runs also record a wall-clock span per event *)
+      Obs.span_begin "stress.event";
       Flight.signal ~step:k
         ~time:(float_of_int k *. 1e-3)
         ~port:(k land 3)
         ~value:(float_of_int ((id * 100_000) + k))
-        "sig"
+        "sig";
+      Obs.span_end ()
     done;
     Flight.capture ~reason:(Printf.sprintf "end of run %d" id);
     id
@@ -118,7 +125,7 @@ let run_campaign ~workers ~tracks ~events ~capacity =
 let test_multidomain_stress_no_tearing () =
   let tracks = 16 and events = 2000 and capacity = 1024 in
   let bundles, _ =
-    run_campaign ~workers:4 ~tracks ~events ~capacity
+    run_campaign ~obs:false ~workers:4 ~tracks ~events ~capacity
   in
   Alcotest.(check int) "all runs captured" tracks (List.length bundles);
   List.iteri
@@ -146,16 +153,26 @@ let test_multidomain_stress_no_tearing () =
     bundles
 
 (* the correctness bar of the recorder: the merged JSONL document is
-   byte-identical whether the campaign ran serially or on 4 domains *)
+   byte-identical whether the campaign ran serially or on 4 domains, and
+   whether Obs tracing was on (its spans live in separate rings) *)
 let test_bundle_byte_identity_across_jobs () =
   let tracks = 8 and events = 300 and capacity = 256 in
-  let _, s1 = run_campaign ~workers:1 ~tracks ~events ~capacity in
-  let _, s4 = run_campaign ~workers:4 ~tracks ~events ~capacity in
+  let _, s1 = run_campaign ~obs:false ~workers:1 ~tracks ~events ~capacity in
+  let _, s4 = run_campaign ~obs:false ~workers:4 ~tracks ~events ~capacity in
   Alcotest.(check bool) "jsonl non-trivial" true (String.length s1 > 1000);
   Alcotest.(check bool) "jobs 1 vs jobs 4 byte-identical" true (s1 = s4);
   (* and stable across repetition on the same worker count *)
-  let _, s4' = run_campaign ~workers:4 ~tracks ~events ~capacity in
-  Alcotest.(check bool) "jobs 4 repeat byte-identical" true (s4 = s4')
+  let _, s4' = run_campaign ~obs:false ~workers:4 ~tracks ~events ~capacity in
+  Alcotest.(check bool) "jobs 4 repeat byte-identical" true (s4 = s4');
+  List.iter
+    (fun workers ->
+      let _, traced =
+        run_campaign ~obs:true ~workers ~tracks ~events ~capacity
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "Obs on, jobs %d byte-identical" workers)
+        true (s1 = traced))
+    [ 1; 4 ]
 
 (* the CI drill hook: ECSD_DIVERGE_AT fabricates a divergence at step k
    and the recorder auto-captures a bundle for the failing run *)

@@ -102,14 +102,38 @@ let prop_of_line_total =
 let test_run_and_encode () =
   let job = ok_or_fail (Job.of_line "diff isr-demo 60 noise-burst 2") in
   let outcome = Job.run Servo_system.default_config job in
-  let line =
-    Bench_json.to_string
-      (Bench_json.Obj (Job.fields ~jobs_done:0 ~uptime_s:0.0 outcome))
+  let encode fields = Bench_json.to_string (Bench_json.Obj fields) in
+  let fields = Job.fields ~jobs_done:0 ~uptime_s:0.0 outcome in
+  let record =
+    "{\"job\":\"diff\",\"model\":\"isr_demo\",\"engine\":\"compiled\",\"steps_run\":60,\"scenario\":\"noise-burst\",\"divergence\":null,\"exit\":0"
   in
-  check_string "serve record"
-    "{\"job\":\"diff\",\"model\":\"isr_demo\",\"engine\":\"compiled\",\"steps_run\":60,\"scenario\":\"noise-burst\",\"divergence\":null,\"exit\":0}"
-    line;
+  check_string "serve record" (record ^ "}") (encode fields);
   Alcotest.(check int) "exit" 0 (Job.exit_code outcome);
+  (* serve's envelope: a retried job carries its attempts, a failed one
+     is an error record *)
+  let supervised result attempts =
+    encode (Job.supervised_fields { Supervise.result; attempts })
+  in
+  check_string "first attempt" (record ^ "}") (supervised (Ok fields) 1);
+  check_string "retried" (record ^ ",\"attempts\":3}") (supervised (Ok fields) 3);
+  check_string "timed out"
+    "{\"job\":\"error\",\"class\":\"timeout\",\"error\":\"deadline of 0.05s exceeded\",\"attempts\":2,\"exit\":3}"
+    (supervised (Error (Supervise.Timeout 0.05)) 2);
+  List.iter
+    (fun (err, job, exit) ->
+      match Job.error_fields ~attempts:0 err with
+      | [ ("job", Bench_json.Str j); _; _; _; ("exit", Bench_json.Int e) ] ->
+          check_string "job field" job j;
+          Alcotest.(check int) "exit field" exit e;
+          Alcotest.(check int) "supervised_exit" exit (Job.supervised_exit err)
+      | fields -> Alcotest.failf "unexpected record %s" (encode fields))
+    [
+      (Supervise.Crashed (Supervise.Bad_request "x"), "error", 2);
+      (Supervise.Crashed Not_found, "error", 4);
+      (Supervise.Transient "x", "error", 4);
+      (Supervise.Poisoned { attempts = 3; last = "x" }, "error", 5);
+      (Supervise.Shed, "shed", 6);
+    ];
   (* an unknown scenario is a bad request when the job runs *)
   match Job.run Servo_system.default_config (ok_or_fail (Job.of_line "faultsim nosuch")) with
   | _ -> Alcotest.fail "unknown scenario ran"

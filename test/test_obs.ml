@@ -82,49 +82,86 @@ let test_span_nesting () =
   let sps = Obs.spans () in
   Alcotest.(check int) "three spans" 3 (Array.length sps);
   (* completion order: inner, inner2, outer *)
-  Alcotest.(check string) "first completed" "inner" sps.(0).Obs.sp_name;
-  Alcotest.(check string) "second completed" "inner2" sps.(1).Obs.sp_name;
-  Alcotest.(check string) "last completed" "outer" sps.(2).Obs.sp_name;
-  Alcotest.(check int) "inner depth" 1 sps.(0).Obs.sp_depth;
-  Alcotest.(check int) "outer depth" 0 sps.(2).Obs.sp_depth;
-  Alcotest.(check int) "inner per-span count" 5 sps.(0).Obs.sp_count;
-  Alcotest.(check int) "outer per-span count" 2 sps.(2).Obs.sp_count;
+  Alcotest.(check string) "first completed" "inner" sps.(0).Flight.ev_label;
+  Alcotest.(check string) "second completed" "inner2" sps.(1).Flight.ev_label;
+  Alcotest.(check string) "last completed" "outer" sps.(2).Flight.ev_label;
+  Alcotest.(check int) "inner depth" 1 sps.(0).Flight.ev_step;
+  Alcotest.(check int) "outer depth" 0 sps.(2).Flight.ev_step;
+  Alcotest.(check int) "inner per-span count" 5 sps.(0).Flight.ev_arg;
+  Alcotest.(check int) "outer per-span count" 2 sps.(2).Flight.ev_arg;
   let outer = sps.(2) and inner = sps.(0) in
   Alcotest.(check bool) "outer contains inner (start)" true
-    (outer.Obs.sp_start_ns <= inner.Obs.sp_start_ns);
+    (outer.Flight.ev_time <= inner.Flight.ev_time);
   Alcotest.(check bool) "outer at least as long" true
-    (outer.Obs.sp_dur_ns >= inner.Obs.sp_dur_ns);
+    (outer.Flight.ev_value >= inner.Flight.ev_value);
   Alcotest.(check bool) "durations non-negative" true
-    (Array.for_all (fun sp -> sp.Obs.sp_dur_ns >= 0.0) sps)
+    (Array.for_all (fun e -> e.Flight.ev_value >= 0.0) sps);
+  (* Span events on the domain's wall-clock track, never a capturable one *)
+  Array.iter
+    (fun e ->
+      Alcotest.(check bool) "span kind" true (e.Flight.ev_kind = Flight.Span);
+      Alcotest.(check int) "wall-clock track"
+        (Flight.wall_track (Domain.self () :> int))
+        e.Flight.ev_track)
+    sps
 
 let test_span_ring_eviction () =
   with_obs @@ fun () ->
+  Fun.protect ~finally:(fun () -> Obs.set_ring_capacity 8192) @@ fun () ->
   Obs.set_ring_capacity 8;
   for i = 1 to 20 do
     Obs.span (string_of_int i) (fun () -> ())
   done;
   let sps = Obs.spans () in
   Alcotest.(check int) "ring keeps capacity" 8 (Array.length sps);
-  Alcotest.(check string) "oldest surviving" "13" sps.(0).Obs.sp_name;
-  Alcotest.(check string) "newest" "20" sps.(7).Obs.sp_name;
-  Obs.set_ring_capacity 8192
+  Alcotest.(check string) "oldest surviving" "13" sps.(0).Flight.ev_label;
+  Alcotest.(check string) "newest" "20" sps.(7).Flight.ev_label;
+  (* the capacity also holds for a domain spawned later and for the
+     published aggregate its spans are folded into *)
+  Obs.set_ring_capacity 100_000;
+  Domain.join
+    (Domain.spawn (fun () ->
+         for _ = 1 to 10_000 do
+           Obs.span_begin "worker";
+           Obs.span_end ()
+         done;
+         Obs.publish ()));
+  Alcotest.(check int) "published spans all kept" 10_000
+    (Array.length (Obs.spans ()))
 
 let test_chrome_trace_parses () =
   with_obs @@ fun () ->
   Obs.span "a" (fun () -> Obs.span "b with \"quotes\"" (fun () -> ()));
-  let doc = Bench_json.parse (Obs.chrome_trace ()) in
-  match Bench_json.member "traceEvents" doc with
-  | Some (Bench_json.Arr events) ->
+  let path = Filename.temp_file "ecsd_trace" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Obs.write_chrome_trace ~path;
+  let ic = open_in path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  match Bench_json.parse text with
+  | Bench_json.Arr events ->
       (* process_name + one thread_name lane (single domain) + 2 spans *)
       Alcotest.(check int) "event count" 4 (List.length events);
-      let names =
-        List.filter_map (fun e -> Bench_json.member "name" e) events
-      in
+      let field k e = Bench_json.member k e in
+      let names = List.filter_map (field "name") events in
       Alcotest.(check bool) "escaped name round-trips" true
         (List.mem (Bench_json.Str "b with \"quotes\"") names);
       Alcotest.(check bool) "thread lane metadata present" true
-        (List.mem (Bench_json.Str "thread_name") names)
-  | _ -> Alcotest.fail "traceEvents missing"
+        (List.mem (Bench_json.Str "thread_name") names);
+      let complete =
+        List.filter (fun e -> field "ph" e = Some (Bench_json.Str "X")) events
+      in
+      Alcotest.(check int) "spans are complete events" 2 (List.length complete);
+      List.iter
+        (fun e ->
+          match field "dur" e with
+          | Some (Bench_json.Float d) when d >= 0.0 -> ()
+          | _ -> Alcotest.fail "span without a non-negative dur")
+        complete;
+      let process = List.hd events in
+      Alcotest.(check bool) "wall_start in the process metadata" true
+        (Option.bind (field "args" process) (field "wall_start") <> None)
+  | _ -> Alcotest.fail "trace is not a JSON array"
 
 let test_disabled_path_no_alloc () =
   Obs.reset ();
@@ -144,7 +181,20 @@ let test_disabled_path_no_alloc () =
      words; the slack absorbs the boxing of the two Gc readings *)
   Alcotest.(check bool) "no observable allocation" true (after -. before < 256.0);
   Alcotest.(check int) "counter untouched" 0 (Obs.counter_value c);
-  Alcotest.(check int) "no spans recorded" 0 (Array.length (Obs.spans ()))
+  Alcotest.(check int) "no spans recorded" 0 (Array.length (Obs.spans ()));
+  (* traced spans are stored into the preallocated ring: no allocation
+     either (the ring itself is made on the first span) *)
+  with_obs @@ fun () ->
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Obs.span_begin "x";
+    Obs.bump 1;
+    Obs.span_end ()
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check bool) "traced spans allocate nothing" true
+    (after -. before < 256.0);
+  Alcotest.(check int) "spans recorded" 8192 (Array.length (Obs.spans ()))
 
 let test_counters_and_reset () =
   with_obs @@ fun () ->
@@ -176,7 +226,7 @@ let test_bench_json_roundtrip () =
     Obs.record_named "rt.hist" (float_of_int i *. 1e-6)
   done;
   let doc =
-    Bench_json.bench ~name:"rt" ~steps:1234 ~wall_s:0.5
+    Telemetry.bench ~name:"rt" ~steps:1234 ~wall_s:0.5
       ~extra:[ ("note", Bench_json.Str "round\ntrip \"quoted\"") ]
       (Obs.snapshot ())
   in
