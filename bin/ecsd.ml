@@ -1144,9 +1144,8 @@ let check mcu period fixed model_name preemptive rules suppress jobs json
   let names = Array.of_list model_names in
   let n = Array.length names in
   let reports =
-    with_workers jobs ~tasks:n @@ function
-    | None -> Array.init n (fun i -> check_one names.(i))
-    | Some pool -> Exec_pool.run_map pool ~chunk:1 n (fun i -> check_one names.(i))
+    with_workers jobs ~tasks:n @@ fun pool ->
+    Exec_pool.sweep ?pool ~mk:ignore n (fun () i -> check_one names.(i))
   in
   Array.iter (fun r -> print_string (Check.render r)) reports;
   (match json with

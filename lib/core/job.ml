@@ -240,20 +240,8 @@ let run_diff ?pool ?progress cfg (d : diff) =
     add_row progress seed (diff_row (seed, r));
     (seed, r)
   in
-  let n = Array.length seeds in
-  let reports =
-    match pool with
-    | Some pool when n > 1 ->
-        (* every domain builds its own context (the model compile dedups
-           through the cache); this one builds first, so a configuration
-           error surfaces here rather than on a worker *)
-        Exec_pool.with_contexts pool
-          (fun () -> diff_context cfg d.model)
-          (fun ctx ->
-            ignore (ctx ());
-            Exec_pool.run_map pool n (fun i -> one (ctx ()) i))
-    | _ -> Array.init n (one (diff_context cfg d.model))
-  in
+  let mk () = diff_context cfg d.model in
+  let reports = Exec_pool.sweep ?pool ~mk (Array.length seeds) one in
   Diffed { job = d; scenario; reports = Array.to_list reports }
 
 let run_faultsim ?pool ?progress cfg (f : faultsim) =
@@ -276,13 +264,9 @@ let run_faultsim ?pool ?progress cfg (f : faultsim) =
          ])
   in
   let mk_subject () = fst (Servo_system.faultsim_subject ~config:cfg ~scenario ()) in
-  let t_end = f.t_end and seeds = f.seeds and policy = f.policy in
   let result =
-    match pool with
-    | Some pool when seeds > 1 ->
-        Fault_campaign.run_parallel ~t_end ~seeds ~pool ~scenario ~on_run ?policy
-          mk_subject
-    | _ -> Fault_campaign.run ~t_end ~seeds ~scenario ~on_run ?policy (mk_subject ())
+    Fault_campaign.run_parallel ~t_end:f.t_end ~seeds:f.seeds ?pool ~scenario ~on_run
+      ?policy:f.policy mk_subject
   in
   Campaign { job = f; result }
 

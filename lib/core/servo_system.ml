@@ -312,13 +312,13 @@ let faultsim_subject ?(config = default_config) ~scenario () =
       (fun acc f ->
         match f.Fault.kind with
         | Fault.Load_torque torque ->
-            let stop =
+            let start = f.Fault.at and width = f.Fault.duration in
+            let pulse =
               match f.Fault.every with
-              | None -> f.Fault.at +. f.Fault.duration
-              | Some _ -> infinity
+              | None -> Load_profile.Pulse { start; stop = start +. width; torque }
+              | Some period -> Load_profile.Pulse_train { start; width; period; torque }
             in
-            Load_profile.Sum
-              [ acc; Load_profile.Pulse { start = f.Fault.at; stop; torque } ]
+            Load_profile.Sum [ acc; pulse ]
         | _ -> acc)
       config.load scenario.Fault_scenario.faults
   in

@@ -14,20 +14,8 @@
    Behaviour closures ([Block.spec.make]) are not hashed: a block's
    behaviour is a function of its kind and parameters, which are. *)
 
-let mutex = Mutex.create ()
-let table : (string, Compile.t) Hashtbl.t = Hashtbl.create 16
-let hits = ref 0
-let misses = ref 0
-let evictions = ref 0
-
-(* FIFO bound: long serve sessions cycling through many model configs
-   must not grow the table without limit. Insertion order is a fine
-   eviction policy here — campaign reuse is bursty, not LRU-shaped. *)
-let max_entries = ref 64
-let order : string Queue.t = Queue.create ()
-let c_hits = Obs.counter "exec.cache.hits"
-let c_misses = Obs.counter "exec.cache.misses"
-let c_evictions = Obs.counter "exec.cache.evictions"
+let cache : Compile.t Content_cache.t =
+  Content_cache.create ~metrics:"exec" ~trace:"mil"
 
 let digest m =
   let b = Buffer.create 2048 in
@@ -77,64 +65,10 @@ let compile ?default_dt m =
     Printf.sprintf "%s@dt=%s" (digest m)
       (match default_dt with None -> "-" | Some dt -> Printf.sprintf "%h" dt)
   in
-  Mutex.lock mutex;
-  match Hashtbl.find_opt table key with
-  | Some comp ->
-      incr hits;
-      Mutex.unlock mutex;
-      Obs.add c_hits 1;
-      Flight.engine ("mil.cache.hit " ^ String.sub key 0 8);
-      comp
-  | None ->
-      Mutex.unlock mutex;
-      Obs.add c_misses 1;
-      Flight.engine ("mil.compile " ^ String.sub key 0 8);
-      (* compile outside the lock: concurrent first-compiles of the same
-         key may race and both do the work — last write wins, both
-         results are equivalent, and campaign throughput never blocks
-         behind one long compile *)
-      let comp = Compile.compile ?default_dt m in
-      Mutex.lock mutex;
-      (match Hashtbl.find_opt table key with
-      | Some existing ->
-          incr hits;
-          Mutex.unlock mutex;
-          ignore comp;
-          existing
-      | None ->
-          incr misses;
-          Hashtbl.replace table key comp;
-          Queue.push key order;
-          let evicted = ref 0 in
-          while Queue.length order > !max_entries do
-            let victim = Queue.pop order in
-            if Hashtbl.mem table victim then begin
-              Hashtbl.remove table victim;
-              incr evictions;
-              incr evicted
-            end
-          done;
-          Mutex.unlock mutex;
-          if !evicted > 0 then Obs.add c_evictions !evicted;
-          comp)
+  Content_cache.find_or_add cache key (fun () -> Compile.compile ?default_dt m)
 
-let set_max_entries n =
-  if n < 1 then invalid_arg "Compile_cache.set_max_entries";
-  Mutex.lock mutex;
-  max_entries := n;
-  Mutex.unlock mutex
+let stats () = Content_cache.stats cache
 
-let stats () =
-  Mutex.lock mutex;
-  let r = (!hits, !misses, !evictions) in
-  Mutex.unlock mutex;
-  r
+let set_max_entries n = Content_cache.set_max_entries cache n
 
-let clear () =
-  Mutex.lock mutex;
-  Hashtbl.reset table;
-  Queue.clear order;
-  hits := 0;
-  misses := 0;
-  evictions := 0;
-  Mutex.unlock mutex
+let clear () = Content_cache.clear cache

@@ -238,31 +238,6 @@ let with_pool ?workers f =
   let pool = create ?workers () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
-(* ---- per-call domain-local contexts ---- *)
-
-let with_contexts pool mk body =
-  (* one slot per worker, plus the last for the calling domain; each
-     slot is only ever touched by the domain it belongs to *)
-  let slots = Array.make (pool.workers + 1) None in
-  let get () =
-    let k =
-      match !(Domain.DLS.get self_key) with
-      | Some (p, w) when p == pool -> w
-      | _ -> pool.workers
-    in
-    match slots.(k) with
-    | Some c -> c
-    | None ->
-        let c = mk () in
-        slots.(k) <- Some c;
-        c
-  in
-  (* a stolen task stays in its deque slot until a later push overwrites
-     it, so [get] can outlive the call: empty the slots explicitly *)
-  Fun.protect
-    ~finally:(fun () -> Array.fill slots 0 (Array.length slots) None)
-    (fun () -> body get)
-
 (* ---- fork-join map ---- *)
 
 let record_failure failed i e bt =
@@ -276,46 +251,27 @@ let record_failure failed i e bt =
   in
   go ()
 
-let run_map pool ?(chunk = 1) ?(on_error = `Abort) n f =
+let run_map pool n f =
   if n < 0 then invalid_arg "Exec_pool.run_map";
-  if chunk < 1 then invalid_arg "Exec_pool.run_map: chunk";
   if n = 0 then [||]
   else begin
     let results = Array.make n None in
     let remaining = Atomic.make n in
     let failed = Atomic.make None in
     let bm = Mutex.create () and bc = Condition.create () in
-    let finish k =
-      if Atomic.fetch_and_add remaining (-k) = k then begin
-        Mutex.lock bm;
-        Condition.signal bc;
-        Mutex.unlock bm
-      end
-    in
-    let leaf i =
-      match f i with
-      | v -> results.(i) <- Some v
-      | exception e -> (
-          match on_error with
-          | `Abort -> record_failure failed i e (Printexc.get_raw_backtrace ())
-          | `Record handler -> (
-              (* the handler turns the exception into slot [i]'s record;
-                 its value depends only on (i, e), so the merged array
-                 is deterministic under any schedule *)
-              match handler i e with
-              | v -> results.(i) <- Some v
-              | exception e2 ->
-                  record_failure failed i e2 (Printexc.get_raw_backtrace ())))
-    in
     let rec range lo hi () =
-      if hi - lo <= chunk then begin
-        for i = lo to hi - 1 do
-          leaf i
-        done;
+      if hi - lo = 1 then begin
+        (match f lo with
+        | v -> results.(lo) <- Some v
+        | exception e -> record_failure failed lo e (Printexc.get_raw_backtrace ()));
         (* publish before the barrier releases so the joining domain's
            snapshot includes this leaf's counts *)
         if Obs.enabled () then Obs.publish ();
-        finish (hi - lo)
+        if Atomic.fetch_and_add remaining (-1) = 1 then begin
+          Mutex.lock bm;
+          Condition.signal bc;
+          Mutex.unlock bm
+        end
       end
       else begin
         let mid = lo + ((hi - lo) / 2) in
@@ -334,3 +290,37 @@ let run_map pool ?(chunk = 1) ?(on_error = `Abort) n f =
     | None -> ());
     Array.map (function Some v -> v | None -> assert false) results
   end
+
+(* ---- seeded sweep over per-domain contexts ---- *)
+
+let sweep ?pool ~mk n f =
+  match pool with
+  | Some pool when n > 1 ->
+      (* one context slot per worker, plus the last for the calling
+         domain; each slot is only ever touched by the domain it
+         belongs to *)
+      let slots = Array.make (pool.workers + 1) None in
+      let ctx () =
+        let k =
+          match !(Domain.DLS.get self_key) with
+          | Some (p, w) when p == pool -> w
+          | _ -> pool.workers
+        in
+        match slots.(k) with
+        | Some c -> c
+        | None ->
+            let c = mk () in
+            slots.(k) <- Some c;
+            c
+      in
+      (* a stolen task stays in its deque slot until a later push
+         overwrites it, so [ctx] can outlive the call: empty the slots
+         explicitly *)
+      Fun.protect
+        ~finally:(fun () -> Array.fill slots 0 (Array.length slots) None)
+        (fun () ->
+          (* the calling domain builds first, so a configuration error
+             surfaces here rather than on a worker *)
+          ignore (ctx ());
+          run_map pool n (fun i -> f (ctx ()) i))
+  | _ -> Array.init n (f (mk ()))

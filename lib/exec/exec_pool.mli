@@ -1,10 +1,13 @@
 (** Work-stealing domain pool: the campaign job engine.
 
     A fixed set of worker domains, one {!Wsdeque} each, plus an
-    injector queue for outside submissions. Two front doors:
+    injector queue for outside submissions. Three front doors:
 
-    - {!run_map} — fork-join: evaluate [f 0 .. f (n-1)] across the
-      pool and return the results in index order. The range splits
+    - {!sweep} — the seeded sweep every campaign command runs on
+      ([faultsim], [diff --seeds], [check]): evaluate [f ctx i] for
+      [i = 0 .. n-1] over per-domain contexts and return the results in
+      index order, on the pool or on the calling domain alone.
+    - {!run_map} — the fork-join map under {!sweep}: the range splits
       recursively through the deques, so load balances by stealing;
       results land in their slots regardless of which domain computed
       them, making the output deterministic under any schedule.
@@ -33,35 +36,28 @@ val shutdown : t -> unit
 val size : t -> int
 (** Number of worker domains. *)
 
-val run_map :
-  t ->
-  ?chunk:int ->
-  ?on_error:[ `Abort | `Record of int -> exn -> 'a ] ->
-  int ->
-  (int -> 'a) ->
-  'a array
-(** [run_map pool n f] evaluates [f] at [0..n-1] on the pool and
-    returns [[| f 0; ...; f (n-1) |]]. Blocks the calling domain until
-    all leaves finish. [chunk] (default 1) is the largest index range
-    one leaf executes serially.
+val run_map : t -> int -> (int -> 'a) -> 'a array
+(** [run_map pool n f] evaluates [f] at [0..n-1] on the pool, one index
+    per leaf, and returns [[| f 0; ...; f (n-1) |]]. Blocks the calling
+    domain until all leaves finish. A raising [f i] aborts the map: the
+    exception of the {e lowest} failing index is re-raised here after
+    all leaves have finished — deterministic under any schedule.
+    Per-item failure records come from {!Supervise}, not from here. *)
 
-    [on_error] decides what a raising [f i] does to the campaign:
-    - [`Abort] (default): the exception of the {e lowest} failing index
-      is re-raised here after all leaves have finished — deterministic
-      under any schedule.
-    - [`Record handler]: slot [i] gets [handler i e] instead, so the
-      campaign completes with per-item error records; the merged array
-      stays deterministic because the record depends only on [(i, e)].
-      An exception escaping the handler itself aborts as above. *)
+val sweep : ?pool:t -> mk:(unit -> 'c) -> int -> ('c -> int -> 'a) -> 'a array
+(** [sweep ?pool ~mk n f] returns [[| f c 0; ...; f c (n-1) |]], where
+    [c] is the context of the domain that evaluated the item. Use it
+    for per-seed work over mutable per-job state (a simulation subject,
+    a diff context) that domains must not share.
 
-val with_contexts : t -> (unit -> 'c) -> ((unit -> 'c) -> 'a) -> 'a
-(** [with_contexts pool mk body] runs [body get]. [get ()] returns the
-    calling domain's own context, built by [mk] on that domain's first
-    [get]: one per worker of [pool], plus one for the domain that called
-    [with_contexts]. Use it for mutable per-job state (a simulation
-    subject, a diff context) that {!run_map} leaves inside [body] must
-    not share across domains. The contexts are dropped when [body]
-    returns or raises, so a long-lived pool keeps none of them. *)
+    With a [pool] and [n > 1] the items are sharded by {!run_map}: each
+    domain builds its own context with [mk] on first use, the calling
+    domain first — so a configuration error surfaces on the caller —
+    and every context is dropped when the call returns or raises, so a
+    long-lived pool keeps none of them. Without a pool, or with
+    [n <= 1], the calling domain builds one context and runs every item
+    on it in index order. Either way the result is the same array when
+    [f] depends only on the context's configuration and the index. *)
 
 val submit : t -> (unit -> unit) -> unit
 (** Queue one task. An exception escaping it is counted

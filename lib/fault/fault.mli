@@ -8,8 +8,9 @@
     controller and the physical world: sensor faults on the raw peripheral
     codes, actuator faults on the commanded duty, plant load surges, and
     timing faults (injected step overruns, suppressed watchdog service).
-    Byte-level communication faults are delegated to {!Faulty}, the
-    serial-line fault model of PR 3.
+    Load faults fold into the plant's load profile
+    ([Servo_system.faultsim_subject]). Byte-level line faults are not
+    scenario faults: the PIL link injects them ([Comm.Faulty]).
 
     Every fault carries a deterministic schedule — an onset time, a
     duration and an optional recurrence period — so a campaign run with
@@ -30,9 +31,6 @@ type kind =
       (** the control step takes this many extra CPU cycles (a cache
           stall, a runaway interrupt) *)
   | Wdog_suppress  (** the watchdog service call is lost *)
-  | Comm of Faulty.config
-      (** serial-line byte faults, delegated to {!Faulty}; armed for the
-          whole run, ignoring the window *)
 
 type t = {
   kind : kind;

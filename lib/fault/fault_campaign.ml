@@ -187,64 +187,54 @@ let merge ~scenario ~t_end ~period ~steps ~wall_s outcomes =
     wall_s;
   }
 
-let run ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ~scenario
-    subject =
-  let period = Sim.base_dt subject.sim in
+(* The one per-seed loop. [first] is the calling domain's subject,
+   built before the sweep: it fixes the period, and it is the context
+   [Exec_pool.sweep] builds first, on this domain; every other domain
+   builds its own through [mk_subject]. The cell is emptied on that
+   first use, so nothing the sweep leaves behind keeps a subject alive.
+   Per-seed runs are independent and seed-deterministic ([one_run]
+   starts from [Sim.reset]) and the sweep returns them in seed order,
+   so the merged report is the same whichever domain computed what. *)
+let campaign ?pool ~t_end ~seeds ?wdog_timeout ?on_run ?policy ~scenario first
+    mk_subject =
+  let period = Sim.base_dt first.sim in
   let wdog_timeout =
     match wdog_timeout with Some t -> t | None -> 8.0 *. period
   in
   let steps = int_of_float ((t_end /. period) +. 0.5) in
+  let first = Atomic.make (Some first) in
+  let mk () =
+    match Atomic.exchange first None with Some s -> s | None -> mk_subject ()
+  in
   let t0 = Obs.now_ns () in
   let outcomes =
-    List.init seeds (fun i ->
+    Exec_pool.sweep ?pool ~mk seeds (fun subject i ->
         let seed = i + 1 in
         let o =
           supervised_one ?policy subject ~scenario ~seed ~steps ~period ~t_end
             ~wdog_timeout
         in
+        (* on a pool this runs on a worker domain: the callback must
+           synchronize *)
         (match (o.Supervise.result, on_run) with
         | Ok r, Some f -> f r
         | _ -> ());
         (seed, o))
   in
   let wall_s = wall ((Obs.now_ns () -. t0) *. 1e-9) in
-  merge ~scenario ~t_end ~period ~steps ~wall_s outcomes
+  merge ~scenario ~t_end ~period ~steps ~wall_s (Array.to_list outcomes)
+
+let run ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ~scenario
+    subject =
+  campaign ~t_end ~seeds ?wdog_timeout ?on_run ?policy ~scenario subject
+    (fun () -> subject)
 
 let run_parallel ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy
-    ~pool ~scenario mk_subject =
-  (* Every domain — workers and this one — lazily builds its own
-     subject: Sim state is mutable and must stay domain-local. The
-     probe below runs on the calling domain, warming the compile cache
-     so the workers' builds dedup against it; per-seed runs are then
-     sharded by [Exec_pool.run_map], whose results land in index order,
-     so the merged report is identical to the sequential one (runs are
-     seed-deterministic and independent — [one_run] starts from
-     [Sim.reset]) no matter which domain computed what. *)
-  Exec_pool.with_contexts pool mk_subject (fun subject ->
-      let period, steps, wdog_timeout =
-        let probe = subject () in
-        let period = Sim.base_dt probe.sim in
-        let wdog_timeout =
-          match wdog_timeout with Some t -> t | None -> 8.0 *. period
-        in
-        (period, int_of_float ((t_end /. period) +. 0.5), wdog_timeout)
-      in
-      let t0 = Obs.now_ns () in
-      let outcomes =
-        Exec_pool.run_map pool seeds (fun i ->
-            let seed = i + 1 in
-            let o =
-              supervised_one ?policy (subject ()) ~scenario ~seed ~steps
-                ~period ~t_end ~wdog_timeout
-            in
-            (* called from worker domains: the callback must synchronize *)
-            (match (o.Supervise.result, on_run) with
-            | Ok r, Some f -> f r
-            | _ -> ());
-            (seed, o))
-      in
-      let wall_s = wall ((Obs.now_ns () -. t0) *. 1e-9) in
-      merge ~scenario ~t_end ~period ~steps ~wall_s (Array.to_list outcomes))
+    ?pool ~scenario mk_subject =
+  (* this domain's build warms the compile cache the workers' builds
+     dedup against *)
+  campaign ?pool ~t_end ~seeds ?wdog_timeout ?on_run ?policy ~scenario
+    (mk_subject ()) mk_subject
 
 let throughput ?scenario ~steps subject =
   Sim.reset subject.sim;

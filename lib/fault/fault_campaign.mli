@@ -90,20 +90,21 @@ val run_parallel :
   ?wdog_timeout:float ->
   ?on_run:(run_result -> unit) ->
   ?policy:Supervise.policy ->
-  pool:Exec_pool.t ->
+  ?pool:Exec_pool.t ->
   scenario:Fault_scenario.t ->
   (unit -> subject) ->
   result
-(** {!run} sharded across a work-stealing domain pool: the seed range
-    splits over the pool's workers, each domain lazily building its own
-    subject through [mk_subject] (simulation state is mutable and must
-    stay domain-local — the compile inside dedups through
-    {!Compile_cache}); they are dropped when the call returns
-    ({!Exec_pool.with_contexts}). Per-seed runs are independent and
+(** {!run} over {!Exec_pool.sweep}: with a [pool] the seed range
+    splits over its workers, each domain building its own subject
+    through [mk_subject] (simulation state is mutable and must stay
+    domain-local — the compile inside dedups through
+    {!Compile_cache}), the calling domain first; they are dropped when
+    the call returns. Without a pool the calling domain runs every
+    seed on one subject. Per-seed runs are independent and
     seed-deterministic, and results merge in seed order, so the report
     equals the sequential one field-for-field except [wall_s]
     (set [ECSD_WALL_ZERO=1] to zero that too and compare bytes).
-    [on_run] fires on the worker domain that completed the run and must
+    [on_run] fires on the domain that completed the run and must
     synchronize its own state. [policy] is as in {!run}; supervised
     outcomes (including chaos decisions and backoff jitter) are pure
     functions of (seed, attempt), so the supervised report stays

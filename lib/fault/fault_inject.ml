@@ -148,12 +148,6 @@ let duty t ~time u =
       | _ -> u)
     u
 
-let load_torque t ~time =
-  fold_active t ~time
-    (fun acc fl ->
-      match fl.Fault.kind with Fault.Load_torque x -> acc +. x | _ -> acc)
-    0.0
-
 let overrun_cycles t ~time =
   let n =
     fold_active t ~time
@@ -173,12 +167,6 @@ let wdog_suppressed t ~time =
   in
   if s then Obs.add c_wdog 1;
   s
-
-let comm_config t =
-  List.find_map
-    (fun fl ->
-      match fl.Fault.kind with Fault.Comm c -> Some c | _ -> None)
-    t.scn.Fault_scenario.faults
 
 let active_names t ~time = Fault_scenario.active_names t.scn ~time
 

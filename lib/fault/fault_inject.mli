@@ -35,19 +35,12 @@ val sensor : t -> slot:int -> time:float -> int -> int
 val duty : t -> time:float -> float -> float
 (** Perturb the commanded actuator duty (jam / saturation). *)
 
-val load_torque : t -> time:float -> float
-(** Extra shaft load torque at [time] (sum of active [Load_torque]). *)
-
 val overrun_cycles : t -> time:float -> int
 (** Extra CPU cycles the control step burns at [time] (sum of active
     [Overrun] faults). *)
 
 val wdog_suppressed : t -> time:float -> bool
 (** Whether the watchdog service call is lost at [time]. *)
-
-val comm_config : t -> Faulty.config option
-(** The serial-line fault model, if the scenario carries one ([Comm]
-    faults arm the line for the whole run — the window is ignored). *)
 
 val active_names : t -> time:float -> string list
 

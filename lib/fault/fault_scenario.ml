@@ -92,9 +92,6 @@ let parse_line lineno line =
               | "jam" -> need_value (fun x -> Fault.Actuator_jam x)
               | "load" -> need_value (fun x -> Fault.Load_torque x)
               | "overrun" -> need_value (fun x -> Fault.Overrun (int_of_float x))
-              | "comm" ->
-                  need_value (fun x ->
-                      Fault.Comm { Faulty.clean with Faulty.corrupt_rate = x })
               | k -> err "unknown fault kind %S" k |> Result.map (fun _ -> assert false)
             in
             let* at =

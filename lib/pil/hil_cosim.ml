@@ -23,9 +23,11 @@ type 'p result = {
 
 let is_kind k b m = (Model.spec_of m b).Block.kind = k
 
-let run ?(preemptive = false) ?(substeps = 16) ?(button = fun _ -> false)
-    ?(background_load = 0.0) ?watchdog ?(overrun_inject = fun _ -> 0)
-    ?(wdog_suppress = fun _ -> false) ~mcu ~schedule ~controller ~plant
+(* plant/peripheral coupling sub-steps per control period *)
+let substeps = 16
+
+let run ?(preemptive = false) ?(button = fun _ -> false) ?(background_load = 0.0)
+    ?watchdog ?(overrun_inject = fun _ -> 0) ~mcu ~schedule ~controller ~plant
     ~advance ~angle_of ~observe ~encoder ~periods () =
   Obs.span "hil.run" @@ fun () ->
   let comp = Sim.compiled controller in
@@ -61,10 +63,8 @@ let run ?(preemptive = false) ?(substeps = 16) ?(button = fun _ -> false)
   in
   let period_ref = ref 0 in
   let run_step () =
-    (* service the watchdog first, as the generated step's prologue does
-       — unless the campaign scenario eats the service call *)
-    if not (wdog_suppress (Machine.now machine)) then
-      Option.iter Wdog_periph.refresh wdog;
+    (* service the watchdog first, as the generated step's prologue does *)
+    Option.iter Wdog_periph.refresh wdog;
     (* read the position register exactly as the generated code does *)
     List.iter
       (fun b ->
@@ -181,7 +181,7 @@ let run ?(preemptive = false) ?(substeps = 16) ?(button = fun _ -> false)
   }
 
 let servo_run ?preemptive ?button ?background_load ?watchdog ?overrun_inject
-    ?wdog_suppress ~built_mcu ~schedule ~controller ~motor ~load ~encoder
+    ~built_mcu ~schedule ~controller ~motor ~load ~encoder
     ~periods () =
   let stage = Power_stage.ideal ~u_supply:motor.Dc_motor.u_max in
   let state = ref Dc_motor.initial in
@@ -194,7 +194,7 @@ let servo_run ?preemptive ?button ?background_load ?watchdog ?overrun_inject
   in
   let r =
     run ?preemptive ?button ?background_load ?watchdog ?overrun_inject
-      ?wdog_suppress ~mcu:built_mcu ~schedule ~controller
+      ~mcu:built_mcu ~schedule ~controller
       ~plant:!state
       ~advance:(fun _ ~dt ~duty -> advance !state ~dt ~duty)
       ~angle_of:(fun _ -> !state.Dc_motor.theta)

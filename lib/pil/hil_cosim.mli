@@ -37,12 +37,10 @@ type 'p result = {
 
 val run :
   ?preemptive:bool ->
-  ?substeps:int ->
   ?button:(float -> bool) ->
   ?background_load:float ->
   ?watchdog:float ->
   ?overrun_inject:(int -> int) ->
-  ?wdog_suppress:(float -> bool) ->
   mcu:Mcu_db.t ->
   schedule:Target.schedule ->
   controller:Sim.t ->
@@ -54,15 +52,14 @@ val run :
   periods:int ->
   unit ->
   'p result
-(** [substeps] (default 16) is the plant/peripheral coupling granularity
-    within one control period. [background_load] (default 0) adds a
+(** The plant and peripherals couple on 16 sub-steps per control
+    period. [background_load] (default 0) adds a
     competing background ISR consuming that fraction of the CPU, for
     stress runs. [watchdog] arms a {!Wdog_periph} with that timeout; the
     control step refreshes it exactly as generated code calls
     [WD1_Clear], so starved steps show up as bites. [overrun_inject]
-    returns extra CPU cycles charged to the given period's control step;
-    [wdog_suppress] makes the step skip the watchdog service at the
-    given time — both are fault-injection taps (default inactive).
+    returns extra CPU cycles charged to the given period's control step
+    — a fault-injection tap (default inactive).
     @raise Invalid_argument when the timer bean's period is unattainable
     on the MCU. *)
 
@@ -72,7 +69,6 @@ val servo_run :
   ?background_load:float ->
   ?watchdog:float ->
   ?overrun_inject:(int -> int) ->
-  ?wdog_suppress:(float -> bool) ->
   built_mcu:Mcu_db.t ->
   schedule:Target.schedule ->
   controller:Sim.t ->

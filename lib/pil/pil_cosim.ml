@@ -49,10 +49,12 @@ let splitmix state =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let run ?(baud = 115200) ?(rx_isr_cycles = 80) ?(tx_isr_cycles = 40)
-    ?(preemptive = false) ?(error_rate = 0.0) ?(seed = 1) ?(dup_frames = false)
-    ?(overrun_inject = fun _ -> 0) ~mcu ~schedule ~controller ~plant ~driver
-    ~periods () =
+(* CPU cycles of the host-link receive and transmit interrupt handlers *)
+let rx_isr_cycles = 80
+let tx_isr_cycles = 40
+
+let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0) ?(seed = 1)
+    ?(dup_frames = false) ~mcu ~schedule ~controller ~plant ~driver ~periods () =
   Obs.span "pil.run" @@ fun () ->
   let comp = Sim.compiled controller in
   let m = comp.Compile.model in
@@ -171,16 +173,12 @@ let run ?(baud = 115200) ?(rx_isr_cycles = 80) ?(tx_isr_cycles = 40)
           float_of_int (start - (!period_index * period_cycles))
           /. mcu.Mcu_db.f_cpu_hz
           :: !start_offsets;
-        (* an injected overrun models a transient stall (cache miss
-           burst, runaway higher-priority work) stretching this period's
-           step *)
-        let stall = overrun_inject !period_index in
-        let exec_s = float_of_int (step_cost + stall) /. mcu.Mcu_db.f_cpu_hz in
+        let exec_s = float_of_int step_cost /. mcu.Mcu_db.f_cpu_hz in
         Obs.record h_exec exec_s;
         exec_samples := exec_s :: !exec_samples;
         {
           Machine.jname = "pil_step";
-          cycles = rx_isr_cycles + step_cost + stall + tx_isr_cycles;
+          cycles = rx_isr_cycles + step_cost + tx_isr_cycles;
           action = (fun () -> do_step pkt);
           stack_bytes = schedule.Target.isr_stack_bytes;
         }

@@ -49,13 +49,10 @@ type result = {
 
 val run :
   ?baud:int ->
-  ?rx_isr_cycles:int ->
-  ?tx_isr_cycles:int ->
   ?preemptive:bool ->
   ?error_rate:float ->
   ?seed:int ->
   ?dup_frames:bool ->
-  ?overrun_inject:(int -> int) ->
   mcu:Mcu_db.t ->
   schedule:Target.schedule ->
   controller:Sim.t ->
@@ -71,9 +68,7 @@ val run :
     sensor frame twice, exercising the target's sequence-number
     deduplication (a duplicated frame must not step the controller
     twice). [preemptive] configures the interrupt controller (E7
-    ablation). [overrun_inject] returns extra CPU cycles charged to the
-    given period's control step (fault-injection campaigns use it to
-    provoke deadline misses; default none).
+    ablation).
     @raise Invalid_argument when a period cannot even carry the two
     packets at the given baud rate (the feasibility boundary — the error
     message carries the minimum period). *)

@@ -996,57 +996,29 @@ let reader (g : code) (p : Mir.place) : st -> Silvm_value.t =
 
 (* ---------------- content-hashed compile cache ----------------
 
-   Same shape as {!Compile_cache} (lib/exec): a global table guarded by
-   a mutex, compilation outside the lock, last write wins on a race.
    The key is a digest of the translation units' structure, so repeated
    submissions of identical generated code share one compiled [code]
    across the whole process — every domain of a campaign pool
-   instantiates its own [st] over the shared closures. *)
+   instantiates its own [st] over the shared closures. The table is the
+   bounded {!Content_cache} the model compile cache uses too. *)
 
-let cache : (string, code) Hashtbl.t = Hashtbl.create 16
-let cache_mutex = Mutex.create ()
-let cache_hits = ref 0
-let cache_misses = ref 0
-let c_hits = Obs.counter "silvm.cache.hits"
-let c_misses = Obs.counter "silvm.cache.misses"
+let cache : code Content_cache.t =
+  Content_cache.create ~metrics:"silvm" ~trace:"silvm"
 
 let digest (units : cunit list) =
   Digest.to_hex (Digest.string (Marshal.to_string units []))
 
 let compile_cached (units : cunit list) : code =
-  let key = digest units in
-  Mutex.lock cache_mutex;
-  match Hashtbl.find_opt cache key with
-  | Some code ->
-      incr cache_hits;
-      Mutex.unlock cache_mutex;
-      Obs.add c_hits 1;
-      Flight.engine ("silvm.cache.hit " ^ String.sub key 0 8);
-      code
-  | None ->
-      incr cache_misses;
-      Mutex.unlock cache_mutex;
-      Obs.add c_misses 1;
-      Flight.engine ("silvm.compile " ^ String.sub key 0 8);
+  Content_cache.find_or_add cache (digest units) (fun () ->
       let t0 = if Obs.enabled () then Obs.now_ns () else 0.0 in
       let code = compile units in
       if Obs.enabled () then
         Obs.record_named "profile.silvm.compile_s"
           ((Obs.now_ns () -. t0) *. 1e-9);
-      Mutex.lock cache_mutex;
-      Hashtbl.replace cache key code;
-      Mutex.unlock cache_mutex;
-      code
+      code)
 
 let cache_stats () =
-  Mutex.lock cache_mutex;
-  let r = (!cache_hits, !cache_misses) in
-  Mutex.unlock cache_mutex;
-  r
+  let hits, misses, _ = Content_cache.stats cache in
+  (hits, misses)
 
-let cache_clear () =
-  Mutex.lock cache_mutex;
-  Hashtbl.reset cache;
-  cache_hits := 0;
-  cache_misses := 0;
-  Mutex.unlock cache_mutex
+let cache_clear () = Content_cache.clear cache

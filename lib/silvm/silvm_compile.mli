@@ -19,7 +19,8 @@ val compile : C_ast.cunit list -> code
 
 val compile_cached : C_ast.cunit list -> code
 (** [compile] memoised on a content hash of the units; thread-safe,
-    shared process-wide (campaign domains hit the same entry) *)
+    shared process-wide (campaign domains hit the same entry), and
+    bounded to the 64 most recent insertions ({!Content_cache}) *)
 
 val cache_stats : unit -> int * int
 (** [(hits, misses)] of {!compile_cached} since start / last clear *)

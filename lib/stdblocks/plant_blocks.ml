@@ -1,6 +1,7 @@
 (* Serialise the load profile into block parameters so the simulator
-   code generator can rebuild it; composite profiles fall back to the
-   closest simple form. *)
+   code generator can rebuild it and the compile cache's digest tells
+   profiles apart. Recurring and composite profiles have no C form:
+   they carry their exact rendering instead. *)
 let load_params load =
   match load with
   | Load_profile.No_load -> [ ("load", Param.String "none") ]
@@ -14,7 +15,9 @@ let load_params load =
   | Load_profile.Pulse { start; stop; torque } ->
       [ ("load", Param.String "pulse"); ("load_start", Param.Float start);
         ("load_stop", Param.Float stop); ("load_tau", Param.Float torque) ]
-  | Load_profile.Sum _ -> [ ("load", Param.String "composite") ]
+  | (Load_profile.Pulse_train _ | Load_profile.Sum _) as l ->
+      [ ("load", Param.String "composite");
+        ("load_terms", Param.String (Load_profile.to_string l)) ]
 
 let dc_motor ?(params = Dc_motor.default) ?(load = Load_profile.No_load) () =
   let p = params in

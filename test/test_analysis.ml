@@ -352,7 +352,7 @@ let test_check_jobs_byte_identical () =
   let pooled =
     render
       (Exec_pool.with_pool ~workers:3 (fun pool ->
-           Exec_pool.run_map pool ~chunk:1 (Array.length names) (fun i ->
+           Exec_pool.sweep ~pool ~mk:ignore (Array.length names) (fun () i ->
                check_one names.(i))))
   in
   Alcotest.(check string) "jobs 1 vs 3 byte-identical" serial pooled

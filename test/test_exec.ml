@@ -141,10 +141,46 @@ let test_pool_map () =
   Alcotest.(check (array int)) "second batch" [| 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 |] r2;
   Alcotest.(check (array int)) "empty" [||] (Exec_pool.run_map pool 0 (fun i -> i))
 
-let test_pool_chunked () =
+(* ---- sweep: per-domain contexts, caller first, index order ---- *)
+
+let test_sweep_contexts () =
+  Exec_pool.with_pool ~workers:3 @@ fun pool ->
+  let built = ref [] and lock = Mutex.create () in
+  let mk () =
+    Mutex.protect lock (fun () -> built := Domain.self () :: !built);
+    Domain.self ()
+  in
+  let r = Exec_pool.sweep ~pool ~mk 40 (fun owner i -> (owner, Domain.self (), i * i)) in
+  Array.iteri
+    (fun i (owner, dom, v) ->
+      Alcotest.(check int) "index order" (i * i) v;
+      Alcotest.(check bool) "context never crosses domains" true (owner = dom))
+    r;
+  let order = List.rev !built in
+  Alcotest.(check bool) "calling domain builds first" true
+    (List.hd order = Domain.self ());
+  Alcotest.(check bool) "at most one context per domain" true
+    (List.length order <= Exec_pool.size pool + 1)
+
+let test_sweep_single () =
+  let n = ref 0 in
+  let mk () = incr n; !n in
+  let seq = Exec_pool.sweep ~mk 5 (fun c i -> (c, i)) in
+  Alcotest.(check (array (pair int int))) "one context, index order"
+    [| (1, 0); (1, 1); (1, 2); (1, 3); (1, 4) |] seq;
   Exec_pool.with_pool ~workers:2 @@ fun pool ->
-  let r = Exec_pool.run_map pool ~chunk:7 100 (fun i -> 2 * i) in
-  Array.iteri (fun i v -> if v <> 2 * i then Alcotest.failf "slot %d" i) r
+  Alcotest.(check (array (pair int int))) "n = 1 stays on the caller" [| (2, 0) |]
+    (Exec_pool.sweep ~pool ~mk 1 (fun c i -> (c, i)));
+  (* a failing build raises on the calling domain before any item runs *)
+  let ran = Atomic.make 0 in
+  match
+    Exec_pool.sweep ~pool ~mk:(fun () -> failwith "bad config") 8 (fun () _ ->
+        Atomic.incr ran)
+  with
+  | _ -> Alcotest.fail "expected the build error"
+  | exception Failure msg ->
+      Alcotest.(check string) "caller's error" "bad config" msg;
+      Alcotest.(check int) "no item ran" 0 (Atomic.get ran)
 
 let test_pool_error () =
   Exec_pool.with_pool ~workers:3 @@ fun pool ->
@@ -256,6 +292,31 @@ let test_compile_cache_eviction () =
   | () -> Alcotest.fail "set_max_entries 0 must be rejected"
   | exception Invalid_argument _ -> ())
 
+(* the table behind both compile caches: a build racing another build
+   of the same key loses to the first insert, and the bound evicts *)
+let test_content_cache () =
+  let t = Content_cache.create ~metrics:"test" ~trace:"test" in
+  let racer = ref 0 in
+  let v =
+    Content_cache.find_or_add t "key-a" (fun () ->
+        (* a second domain's build of the same key lands first *)
+        ignore (Content_cache.find_or_add t "key-a" (fun () -> 2));
+        incr racer;
+        1)
+  in
+  Alcotest.(check int) "first insert wins" 2 v;
+  Alcotest.(check int) "both builds ran" 1 !racer;
+  Alcotest.(check int) "cached winner" 2 (Content_cache.find_or_add t "key-a" (fun () -> 3));
+  Alcotest.(check (triple int int int)) "loser counts as a hit" (2, 1, 0)
+    (Content_cache.stats t);
+  Content_cache.set_max_entries t 1;
+  ignore (Content_cache.find_or_add t "key-b" (fun () -> 4));
+  Alcotest.(check int) "evicted entry rebuilt" 5
+    (Content_cache.find_or_add t "key-a" (fun () -> 5));
+  Alcotest.(check (triple int int int)) "two evictions" (2, 3, 2) (Content_cache.stats t);
+  Content_cache.clear t;
+  Alcotest.(check (triple int int int)) "cleared" (0, 0, 0) (Content_cache.stats t)
+
 (* ---- obs export merge: associativity + determinism ---- *)
 
 let export_with f =
@@ -360,7 +421,8 @@ let suite =
     qt test_deque_model;
     Alcotest.test_case "wsdeque 4-domain consume-once" `Quick test_deque_domains;
     Alcotest.test_case "pool run_map" `Quick test_pool_map;
-    Alcotest.test_case "pool chunked" `Quick test_pool_chunked;
+    Alcotest.test_case "sweep contexts per domain" `Quick test_sweep_contexts;
+    Alcotest.test_case "sweep on the calling domain" `Quick test_sweep_single;
     Alcotest.test_case "pool lowest-index error" `Quick test_pool_error;
     Alcotest.test_case "pool submit" `Quick test_pool_submit;
     Alcotest.test_case "compile cache dedup" `Quick test_compile_cache;
@@ -368,6 +430,7 @@ let suite =
       test_compile_cache_simulates;
     Alcotest.test_case "compile cache eviction" `Quick
       test_compile_cache_eviction;
+    Alcotest.test_case "content cache first insert wins" `Quick test_content_cache;
     Alcotest.test_case "export merge associative" `Quick test_export_merge;
     qt test_export_merge_deterministic;
     Alcotest.test_case "publish across domains" `Quick

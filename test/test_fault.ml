@@ -81,6 +81,8 @@ let test_scenario_errors () =
           (contains frag e)
   in
   expect_err "bogus at=1 duration=1" "unknown fault kind";
+  (* no engine arms line faults from a scenario *)
+  expect_err "comm at=1 duration=1 value=0.01" "unknown fault kind";
   expect_err "offset at=1 duration=1" "needs value=";
   expect_err "dropout duration=1" "missing at=";
   expect_err "dropout at=1" "missing duration=";
@@ -335,6 +337,48 @@ let test_parallel_campaign_drops_subjects () =
         check_bool (Printf.sprintf "subject %d collected" i) false (Weak.check built i)
       done)
 
+let scenario_of text =
+  match Fault_scenario.of_string ~name:"t" text with
+  | Ok s -> s
+  | Error e -> Alcotest.fail e
+
+(* load faults fold into the plant's load profile, which the compile
+   cache's digest must see: two load scenarios run in one process each
+   equal the same campaign on a cleared cache *)
+let test_load_scenarios_keep_their_compile () =
+  let load v = scenario_of ("load at=0.5 duration=1.0 value=" ^ v) in
+  let light = load "1e-4" and heavy = load "2e-2" in
+  let runs scenario =
+    let subject, _ = Servo_system.faultsim_subject ~scenario () in
+    (Fault_campaign.run ~t_end:1.0 ~seeds:1 ~scenario subject).Fault_campaign.runs
+  in
+  let fresh scenario =
+    Compile_cache.clear ();
+    runs scenario
+  in
+  let light_fresh = fresh light and heavy_fresh = fresh heavy in
+  Compile_cache.clear ();
+  let light_shared = runs light in
+  let heavy_shared = runs heavy in
+  Compile_cache.clear ();
+  check_bool "the loads matter" true (light_fresh <> heavy_fresh);
+  check_bool "light as on a cleared cache" true (light_shared = light_fresh);
+  check_bool "heavy after light as on a cleared cache" true
+    (heavy_shared = heavy_fresh)
+
+(* an every= load fault recurs: 30 ms dips every 400 ms from 0.5 s *)
+let test_periodic_load_recurs () =
+  let scenario = scenario_of "load at=0.5 duration=0.03 every=0.4 value=2.0e-3" in
+  let _, built = Servo_system.faultsim_subject ~scenario () in
+  let load = built.Servo_system.config.Servo_system.load in
+  List.iter
+    (fun (time, want) ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "load torque at %g s" time)
+        want
+        (Load_profile.torque load ~time ~w:0.0))
+    [ (0.49, 0.0); (0.51, 2e-3); (0.6, 0.0); (0.91, 2e-3); (0.95, 0.0) ]
+
 let test_campaign_stuck_reaches_safestop () =
   let r = campaign "sensor-stuck" in
   check_bool "all detected" true (Fault_campaign.all_detected r);
@@ -500,6 +544,10 @@ let suite =
       test_parallel_campaign_matches_sequential;
     Alcotest.test_case "campaign: parallel drops its subjects" `Quick
       test_parallel_campaign_drops_subjects;
+    Alcotest.test_case "campaign: load scenarios keep their compile" `Quick
+      test_load_scenarios_keep_their_compile;
+    Alcotest.test_case "campaign: periodic load recurs" `Quick
+      test_periodic_load_recurs;
     Alcotest.test_case "campaign: stuck sensor reaches SafeStop" `Quick
       test_campaign_stuck_reaches_safestop;
     Alcotest.test_case "campaign: timing faults bite the watchdog" `Quick

@@ -1,6 +1,6 @@
 (* Supervised execution: the error taxonomy, deadline cancellation,
    retry/backoff determinism, seeded orchestrator chaos, run_map error
-   recording, the pool error hook, and the supervised fault campaign's
+   propagation, the pool error hook, and the supervised fault campaign's
    jobs-count independence. *)
 
 let check_bool = Alcotest.(check bool)
@@ -218,38 +218,7 @@ let test_chaos_under_supervise () =
       check_string "same outcome class" (cls a) (cls b);
       check_int "same attempts" a.Supervise.attempts b.Supervise.attempts)
 
-(* ---- run_map error recording ---- *)
-
-type item = Value of int | Failed of int * string
-
-let record_map workers =
-  Exec_pool.with_pool ~workers (fun pool ->
-      Exec_pool.run_map pool
-        ~on_error:(`Record (fun i e -> Failed (i, Printexc.to_string e)))
-        20
-        (fun i ->
-          if i = 3 || i = 7 then failwith (Printf.sprintf "seed %d died" i);
-          Value (i * i)))
-
-let test_run_map_record () =
-  let r1 = record_map 1 in
-  let r4 = record_map 4 in
-  check_int "campaign completes" 20 (Array.length r4);
-  let crashed =
-    Array.to_list r4
-    |> List.filter_map (function Failed (i, _) -> Some i | Value _ -> None)
-  in
-  Alcotest.(check (list int)) "exactly seeds 3 and 7 crashed" [ 3; 7 ] crashed;
-  Array.iteri
-    (fun i x ->
-      match x with
-      | Value v -> check_int "square" (i * i) v
-      | Failed (i', msg) ->
-          check_int "index recorded" i i';
-          check_bool "message recorded" true
-            (msg = Printf.sprintf "Failure(\"seed %d died\")" i))
-    r4;
-  check_bool "byte-identical --jobs 1 vs 4" true (r1 = r4)
+(* ---- run_map error propagation ---- *)
 
 let test_run_map_abort_still_raises () =
   match
@@ -355,7 +324,6 @@ let suite =
       test_chaos_decide_deterministic;
     Alcotest.test_case "chaos outcome deterministic" `Quick
       test_chaos_under_supervise;
-    Alcotest.test_case "run_map record mode" `Quick test_run_map_record;
     Alcotest.test_case "run_map abort mode" `Quick
       test_run_map_abort_still_raises;
     Alcotest.test_case "submit error hook" `Quick test_submit_error_hook;
