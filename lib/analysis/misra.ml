@@ -235,7 +235,6 @@ let lint_func env ~unit_name f =
         frame := ((name, ty) :: top) :: rest
     | [] -> assert false)
   in
-  let raw_count = ref 0 in
   let rec walk scopes stmts =
     let frame = ref ([] :: scopes) in
     List.iter
@@ -270,17 +269,11 @@ let lint_func env ~unit_name f =
             check_cond c ~what:"for condition" !frame;
             walk !frame (b @ [ incr ])
         | Block b -> walk !frame b
-        | Raw _ -> incr raw_count
         | Expr _ | Return _ | Comment _ -> ())
       stmts
   in
   let param_frame = List.map (fun (ty, name) -> (name, ty)) f.args in
   walk [ param_frame ] f.body;
-  if !raw_count > 0 then
-    emit "MIS005"
-      (Printf.sprintf "%d verbatim statement%s escape%s the lint" !raw_count
-         (if !raw_count > 1 then "s" else "")
-         (if !raw_count > 1 then "" else "s"));
   List.rev !acc
 
 let lint_unit_in env cu =

@@ -15,8 +15,8 @@
     - MIS004: a controlling expression ([if]/[while]/[for]/[?:]
       condition) contains a side effect (function call, [++]/[--],
       assignment operator);
-    - MIS005: verbatim [Raw]/[Raw_item] text escapes the analysis
-      (informational). *)
+    - MIS005: verbatim [Raw_item] text (a support runtime) escapes the
+      analysis (informational). *)
 
 val lint_unit : C_ast.cunit -> Diag.finding list
 val lint : C_ast.cunit list -> Diag.finding list

@@ -73,7 +73,7 @@ let transfer comp b (ins : itv option array) : itv option array =
   in
   if n_out = 0 then [||]
   else
-    match spec.Block.kind with
+    match Autosar_blocks.pe_kind spec.Block.kind with
     | "Constant" -> all_out (point (pf "value"))
     | "Step" -> all_out (hull (point (pf "before")) (point (pf "after")))
     | "Ramp" ->
@@ -202,12 +202,11 @@ let transfer comp b (ins : itv option array) : itv option array =
         let ys = Param.floats params "ys" in
         if Array.length ys = 0 then top_of_type
         else all_out (Array.fold_left hull_pt (point ys.(0)) ys)
-    | "PE_Adc" | "AR_Adc" -> (
+    | "PE_Adc" -> (
         match Param.int_opt params "max_code" with
         | Some mc -> all_out (itv 0.0 (float_of_int mc))
         | None -> top_of_type)
-    | "PE_Pwm" | "AR_Pwm" -> all_out (itv 0.0 1.0)
-    | "PE_BitIO_In" | "AR_BitIO_In" -> all_out (itv 0.0 1.0)
+    | "PE_Pwm" | "PE_BitIO_In" -> all_out (itv 0.0 1.0)
     | _ -> top_of_type
 
 (* The fixpoint engine is the shared [Dataflow.Round_robin] solver

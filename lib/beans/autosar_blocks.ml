@@ -1,14 +1,29 @@
 (* Functionally identical to the PE block set: same behaviours, new kinds
-   so the code generator picks the MCAL emitters. *)
+   so the code generator picks the MCAL driver API. *)
 
-let rekind kind spec = { spec with Block.kind }
+let twins =
+  [
+    ("AR_TimerInt", "PE_TimerInt");
+    ("AR_Adc", "PE_Adc");
+    ("AR_Pwm", "PE_Pwm");
+    ("AR_Dio_Out", "PE_BitIO_Out");
+    ("AR_Dio_In", "PE_BitIO_In");
+    ("AR_Icu", "PE_QuadDec");
+  ]
 
-let timer_int bean = rekind "AR_TimerInt" (Periph_blocks.timer_int bean)
-let adc bean = rekind "AR_Adc" (Periph_blocks.adc bean)
-let pwm bean = rekind "AR_Pwm" (Periph_blocks.pwm bean)
-let dio_out bean = rekind "AR_Dio_Out" (Periph_blocks.bit_io_out bean)
-let dio_in bean = rekind "AR_Dio_In" (Periph_blocks.bit_io_in bean)
-let icu_position bean = rekind "AR_Icu" (Periph_blocks.quad_decoder bean)
+let rekind spec =
+  let ar, _ = List.find (fun (_, pe) -> pe = spec.Block.kind) twins in
+  { spec with Block.kind = ar }
 
-let is_autosar_kind kind =
-  String.length kind >= 3 && String.sub kind 0 3 = "AR_"
+let timer_int bean = rekind (Periph_blocks.timer_int bean)
+let adc bean = rekind (Periph_blocks.adc bean)
+let pwm bean = rekind (Periph_blocks.pwm bean)
+let dio_out bean = rekind (Periph_blocks.bit_io_out bean)
+let dio_in bean = rekind (Periph_blocks.bit_io_in bean)
+let icu_position bean = rekind (Periph_blocks.quad_decoder bean)
+
+let pe_twin = Hashtbl.of_seq (List.to_seq twins)
+let is_autosar_kind kind = Hashtbl.mem pe_twin kind
+
+let pe_kind kind =
+  match Hashtbl.find_opt pe_twin kind with Some pe -> pe | None -> kind

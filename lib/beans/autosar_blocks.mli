@@ -27,5 +27,14 @@ val dio_in : Bean.t -> Block.spec
 val icu_position : Bean.t -> Block.spec
 (** Quadrature position via the Icu driver's edge counter. *)
 
+val twins : (string * string) list
+(** Each AUTOSAR kind with the PE kind whose block it renames. *)
+
 val is_autosar_kind : string -> bool
-(** Whether a block kind belongs to this variant (kind prefix "AR_"). *)
+(** Whether a block kind belongs to this variant. *)
+
+val pe_kind : string -> string
+(** The PE kind whose behaviour a kind shares: its twin for an AUTOSAR
+    kind, the kind itself otherwise. Code generation, the cost model
+    and range analysis dispatch on it, so the two block sets cannot
+    drift apart. *)

@@ -49,7 +49,6 @@ type stmt =
   | For of stmt * expr * stmt * stmt list
   | Return of expr option
   | Comment of string
-  | Raw of string
   | Block of stmt list
 
 type func = {

@@ -47,7 +47,6 @@ type stmt =
   | For of stmt * expr * stmt * stmt list
   | Return of expr option
   | Comment of string
-  | Raw of string  (** escape hatch for target idioms (e.g. asm) *)
   | Block of stmt list
 
 type func = {

@@ -109,7 +109,6 @@ let rec stmt_lines ind s =
   | Return None -> [ pad ^ "return;" ]
   | Return (Some e) -> [ pad ^ "return " ^ expr_to_string e ^ ";" ]
   | Comment c -> [ pad ^ "/* " ^ c ^ " */" ]
-  | Raw s -> List.map (fun l -> pad ^ l) (String.split_on_char '\n' s)
   | Block body ->
       (pad ^ "{")
       :: List.concat_map (stmt_lines (ind + 1)) body

@@ -115,23 +115,26 @@ module Fixpoint = struct
     f.e_prev_q <- Fixed.zero f.sig_fmt;
     f.d_prev_q <- Fixed.zero f.acc_fmt
 
+  (* Products round half up, as the generated pe_mul_shift helper does
+     (add half, then shift right), so MIL and code agree on ties. *)
   let step f ~sp ~pv =
     let e_q = Fixed.of_float f.sig_fmt ((sp -. pv) /. f.in_scale) in
-    let p_q = Fixed.mul_to f.acc_fmt f.kp_q e_q in
+    let p_q = Fixed.mul_to f.acc_fmt ~round:Fixed.Half_up f.kp_q e_q in
     let d_q =
       if Fixed.raw f.kd_c1_q = 0 then Fixed.zero f.acc_fmt
       else
         let de = Fixed.sub (Fixed.convert f.acc_fmt e_q)
             (Fixed.convert f.acc_fmt f.e_prev_q) in
-        let raw_d = Fixed.mul_to f.acc_fmt f.kd_c1_q de in
+        let raw_d = Fixed.mul_to f.acc_fmt ~round:Fixed.Half_up f.kd_c1_q de in
         if Fixed.raw f.d_decay_q = 0 then raw_d
-        else Fixed.add (Fixed.mul f.d_prev_q f.d_decay_q) raw_d
+        else Fixed.add (Fixed.mul ~round:Fixed.Half_up f.d_prev_q f.d_decay_q) raw_d
     in
     let u_unsat = Fixed.add (Fixed.add p_q f.integ_q) d_q in
     let saturating_up = Fixed.compare u_unsat f.u_max_q > 0 && Fixed.raw e_q > 0 in
     let saturating_down = Fixed.compare u_unsat f.u_min_q < 0 && Fixed.raw e_q < 0 in
     if not (saturating_up || saturating_down) then
-      f.integ_q <- Fixed.add f.integ_q (Fixed.mul_to f.acc_fmt f.ki_ts_q e_q);
+      f.integ_q <-
+        Fixed.add f.integ_q (Fixed.mul_to f.acc_fmt ~round:Fixed.Half_up f.ki_ts_q e_q);
     f.e_prev_q <- e_q;
     f.d_prev_q <- d_q;
     let u_q = Fixed.min (Fixed.max u_unsat f.u_min_q) f.u_max_q in

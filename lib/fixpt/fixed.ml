@@ -1,5 +1,5 @@
 type overflow = Saturate | Wrap
-type rounding = Floor | Nearest | Zero
+type rounding = Floor | Nearest | Half_up | Zero
 type t = { raw : int; fmt : Qformat.t }
 
 exception Overflow of string
@@ -37,7 +37,7 @@ let raw t = t.raw
 let fmt t = t.fmt
 let to_float t = float_of_int t.raw *. Qformat.resolution t.fmt
 
-let round_div round num den =
+let rec round_div round num den =
   (* Divide [num] by positive [den] with the requested rounding. *)
   match round with
   | Floor ->
@@ -46,6 +46,7 @@ let round_div round num den =
       else
         let q = num / den in
         if q * den = num then q else q - 1
+  | Half_up -> round_div Floor (num + (den / 2)) den
   | Zero -> num / den
   | Nearest ->
       if num >= 0 then (num + (den / 2)) / den
@@ -56,6 +57,7 @@ let of_float ?(round = Nearest) ?(ovf = Saturate) fmt x =
   let r =
     match round with
     | Nearest -> Float.round scaled
+    | Half_up -> Float.floor (scaled +. 0.5)
     | Floor -> Float.floor scaled
     | Zero -> Float.trunc scaled
   in

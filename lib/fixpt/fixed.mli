@@ -9,7 +9,11 @@
 
 type overflow = Saturate | Wrap
 
-type rounding = Floor | Nearest | Zero
+type rounding =
+  | Floor
+  | Nearest  (** half away from zero *)
+  | Half_up  (** half toward +infinity: the add-half-then-shift idiom *)
+  | Zero
 
 type t = private { raw : int; fmt : Qformat.t }
 

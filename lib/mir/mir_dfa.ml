@@ -161,7 +161,7 @@ let effect locals (a : Mir_cfg.astmt) =
             | C_ast.Block b -> List.iter scan_s b
             | C_ast.Decl (_, _, None)
             | C_ast.Return None
-            | C_ast.Comment _ | C_ast.Raw _ ->
+            | C_ast.Comment _ ->
                 ()
           in
           scan_s cs;

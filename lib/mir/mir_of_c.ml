@@ -69,6 +69,5 @@ let rec lift_stmt s : Mir.stmt =
   | Return e -> Mir.Sreturn (Option.map lift_expr e)
   | Comment c -> Mir.Scomment c
   | Block b -> Mir.Sblock (lift_stmts b)
-  | Raw _ -> Mir.Sopaque s
 
 and lift_stmts ss = List.map lift_stmt ss

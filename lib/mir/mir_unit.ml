@@ -47,9 +47,7 @@ let rec calls_in_stmts acc (ss : C_ast.stmt list) =
     | C_ast.For (i, c, u, b) ->
         calls_in_stmts (in_expr (calls_in_stmts acc [ i; u ]) c) b
     | C_ast.Block b -> calls_in_stmts acc b
-    | C_ast.Decl (_, _, None) | C_ast.Return None | C_ast.Comment _
-    | C_ast.Raw _ ->
-        acc
+    | C_ast.Decl (_, _, None) | C_ast.Return None | C_ast.Comment _ -> acc
   in
   List.fold_left in_stmt acc ss
 

@@ -133,7 +133,7 @@ let rec calls_in_stmt acc = function
         (calls_in_stmt (calls_in_expr (calls_in_stmt acc i) c) u)
         b
   | Block b -> List.fold_left calls_in_stmt acc b
-  | Decl (_, _, None) | Return None | Comment _ | Raw _ -> acc
+  | Decl (_, _, None) | Return None | Comment _ -> acc
 
 let used_cast_helpers stmts =
   let used = List.fold_left calls_in_stmt [] stmts in
@@ -172,1142 +172,1102 @@ let bean_of ps = Param.string ps "bean"
 let custom : (string, gctx -> spec_alias -> gen) Hashtbl.t = Hashtbl.create 8
 let register kind f = Hashtbl.replace custom kind f
 
-let emit_builtin g spec =
-  let ps = spec.Block.params in
-  let pf = Param.float ps in
-  match spec.Block.kind with
-  | "Constant" ->
-      { nothing with init = [ Assign (out0 g, flt (pf "value")) ] }
-  | "Step" ->
-      {
-        nothing with
-        needs_time = true;
-        step =
-          [
-            Assign
-              ( out0 g,
-                Ternary
-                  ( Bin (">=", time_var, flt (pf "t_step")),
-                    flt (pf "after"), flt (pf "before") ) );
-          ];
-      }
-  | "Ramp" ->
-      {
-        nothing with
-        needs_time = true;
-        step =
-          [
-            Assign
-              ( out0 g,
-                Ternary
-                  ( Bin (">=", time_var, flt (pf "start")),
-                    Bin ("*", flt (pf "slope"), Bin ("-", time_var, flt (pf "start"))),
-                    flt 0.0 ) );
-          ];
-      }
-  | "Sine" ->
-      {
-        nothing with
-        needs_time = true;
-        step =
-          [
-            Assign
-              ( out0 g,
-                Bin
-                  ( "+",
-                    flt (pf "bias"),
-                    Bin
-                      ( "*",
-                        flt (pf "amp"),
-                        call "sin"
-                          [
-                            Bin
-                              ( "+",
-                                Bin
-                                  ( "*",
-                                    flt (2.0 *. Float.pi *. pf "freq_hz"),
-                                    time_var ),
-                                flt (pf "phase") );
-                          ] ) ) );
-          ];
-      }
-  | "Pulse" ->
-      {
-        nothing with
-        needs_time = true;
-        step =
-          [
-            Decl
-              ( Double_t, g.name ^ "_frac",
-                Some (call "fmod" [ time_var; flt (pf "period") ]) );
-            Assign
-              ( out0 g,
-                Ternary
-                  ( Bin
-                      ("<", Var (g.name ^ "_frac"),
-                       flt (pf "duty" *. pf "period")),
-                    flt (pf "amp"), flt 0.0 ) );
-          ];
-      }
-  | "SetpointSchedule" ->
-      let times = Param.floats ps "times" and values = Param.floats ps "values" in
-      let n = Array.length times in
-      {
-        nothing with
-        needs_time = true;
-        state_fields = [];
-        init = [];
-        step =
-          [ Assign (out0 g, flt 0.0) ]
-          @ List.init n (fun i ->
-                If
-                  ( Bin (">=", time_var, flt times.(i)),
-                    [ Assign (out0 g, flt values.(i)) ],
-                    [] ));
-      }
-  | "Clock" -> { nothing with needs_time = true; step = [ Assign (out0 g, time_var) ] }
-  | "UniformNoise" ->
-      (* xorshift-based PRNG scaled into [lo, hi) *)
-      let lo = pf "lo" and hi = pf "hi" in
-      {
-        nothing with
-        state_fields = [ (U32, "seed") ];
-        init = [ Assign (g.state "seed", Hex_lit (Param.int ps "seed" land 0xFFFFFFF)) ];
-        step =
-          [
-            Assign
-              ( g.state "seed",
-                Bin ("^", g.state "seed", Bin ("<<", g.state "seed", Int_lit 13)) );
-            Assign
-              ( g.state "seed",
-                Bin ("^", g.state "seed", Bin (">>", g.state "seed", Int_lit 17)) );
-            Assign
-              ( g.state "seed",
-                Bin ("^", g.state "seed", Bin ("<<", g.state "seed", Int_lit 5)) );
-            Assign
-              ( out0 g,
-                Bin
-                  ( "+",
-                    flt lo,
-                    Bin
-                      ( "*",
-                        Bin
-                          ( "/",
-                            Cast_to (Double_t, g.state "seed"),
-                            flt 4294967296.0 ),
-                        flt (hi -. lo) ) ) );
-          ];
-      }
-  | "Gain" -> { nothing with step = [ Assign (out0 g, Bin ("*", flt (pf "k"), in0 g)) ] }
-  | "Sum" ->
-      let signs = Param.string ps "signs" in
-      let expr =
-        List.fold_left
-          (fun acc (i, c) ->
-            let term = List.nth g.ins i in
-            match acc with
-            | None -> Some (if c = '+' then term else Un ("-", term))
-            | Some e -> Some (Bin ((if c = '+' then "+" else "-"), e, term)))
-          None
-          (List.init (String.length signs) (fun i -> (i, signs.[i])))
-      in
-      { nothing with step = [ Assign (out0 g, Option.get expr) ] }
-  | "Product" ->
-      let n = Param.int ps "n" in
-      let expr =
-        List.fold_left
-          (fun acc i ->
-            match acc with
-            | None -> Some (List.nth g.ins i)
-            | Some e -> Some (Bin ("*", e, List.nth g.ins i)))
-          None
-          (List.init n Fun.id)
-      in
-      { nothing with step = [ Assign (out0 g, Option.get expr) ] }
-  | "Divide" ->
-      { nothing with step = [ Assign (out0 g, Bin ("/", in0 g, List.nth g.ins 1)) ] }
-  | "Abs" ->
-      {
-        nothing with
-        step = [ Assign (out0 g, Ternary (Bin ("<", in0 g, flt 0.0), Un ("-", in0 g), in0 g)) ];
-      }
-  | "Neg" -> { nothing with step = [ Assign (out0 g, Un ("-", in0 g)) ] }
-  | "Sign" ->
-      {
-        nothing with
-        step =
-          [
-            Assign
-              ( out0 g,
-                Ternary
-                  ( Bin (">", in0 g, flt 0.0),
-                    flt 1.0,
-                    Ternary (Bin ("<", in0 g, flt 0.0), flt (-1.0), flt 0.0) ) );
-          ];
-      }
-  | "Min" ->
-      {
-        nothing with
-        step =
-          [
-            Assign
-              ( out0 g,
-                Ternary
-                  (Bin ("<", in0 g, List.nth g.ins 1), in0 g, List.nth g.ins 1) );
-          ];
-      }
-  | "Max" ->
-      {
-        nothing with
-        step =
-          [
-            Assign
-              ( out0 g,
-                Ternary
-                  (Bin (">", in0 g, List.nth g.ins 1), in0 g, List.nth g.ins 1) );
-          ];
-      }
-  | "Cast" -> { nothing with step = [ Assign (out0 g, Cast_to (oty0 g, in0 g)) ] }
-  | "Compare" ->
-      let op =
-        match Param.string ps "op" with
-        | "lt" -> "<"
-        | "le" -> "<="
-        | "gt" -> ">"
-        | "ge" -> ">="
-        | "eq" -> "=="
-        | _ -> "!="
-      in
-      { nothing with step = [ Assign (out0 g, Bin (op, in0 g, List.nth g.ins 1)) ] }
-  | "Logic" ->
-      let stmt =
-        match Param.string ps "op" with
-        | "not" -> Assign (out0 g, Un ("!", in0 g))
-        | "and" -> Assign (out0 g, Bin ("&&", in0 g, List.nth g.ins 1))
-        | "or" -> Assign (out0 g, Bin ("||", in0 g, List.nth g.ins 1))
-        | _ ->
-            Assign
-              ( out0 g,
-                Bin ("!=", Un ("!", in0 g), Un ("!", List.nth g.ins 1)) )
-      in
-      { nothing with step = [ stmt ] }
-  | "MathFn" ->
-      { nothing with step = [ Assign (out0 g, call (Param.string ps "fn") [ in0 g ]) ] }
-  | "UnitDelay" ->
-      (* MIL stores the next state through Value.cast (round + saturate
-         for integer dtypes); mirror that rather than a raw C cast. *)
-      let store e =
-        match cast_helper_of_dtype (odt0 g) with
-        | Some h -> call h [ e ]
-        | None -> Cast_to (oty0 g, e)
-      in
-      let init_val =
-        match cast_helper_of_dtype (odt0 g) with
-        | Some h -> call h [ flt (pf "init") ]
-        | None -> flt (pf "init")
-      in
-      {
-        nothing with
-        state_fields = [ (oty0 g, "x") ];
-        init = [ Assign (g.state "x", init_val) ];
-        step = [ Assign (out0 g, g.state "x") ];
-        update = [ Assign (g.state "x", store (in0 g)) ];
-      }
-  | "DelayN" ->
-      let n = Param.int ps "n" in
-      if n = 0 then { nothing with step = [ Assign (out0 g, in0 g) ] }
-      else
+let std_emitters : (string * (gctx -> Param.t -> gen)) list =
+  [
+    ( "Constant",
+      fun g ps ->
+        let pf = Param.float ps in
+        { nothing with init = [ Assign (out0 g, flt (pf "value")) ] } );
+    ( "Step",
+      fun g ps ->
+        let pf = Param.float ps in
+        {
+          nothing with
+          needs_time = true;
+          step =
+            [
+              Assign
+                ( out0 g,
+                  Ternary
+                    ( Bin (">=", time_var, flt (pf "t_step")),
+                      flt (pf "after"), flt (pf "before") ) );
+            ];
+        } );
+    ( "Ramp",
+      fun g ps ->
+        let pf = Param.float ps in
+        {
+          nothing with
+          needs_time = true;
+          step =
+            [
+              Assign
+                ( out0 g,
+                  Ternary
+                    ( Bin (">=", time_var, flt (pf "start")),
+                      Bin ("*", flt (pf "slope"), Bin ("-", time_var, flt (pf "start"))),
+                      flt 0.0 ) );
+            ];
+        } );
+    ( "Sine",
+      fun g ps ->
+        let pf = Param.float ps in
+        {
+          nothing with
+          needs_time = true;
+          step =
+            [
+              Assign
+                ( out0 g,
+                  Bin
+                    ( "+",
+                      flt (pf "bias"),
+                      Bin
+                        ( "*",
+                          flt (pf "amp"),
+                          call "sin"
+                            [
+                              Bin
+                                ( "+",
+                                  Bin
+                                    ( "*",
+                                      flt (2.0 *. Float.pi *. pf "freq_hz"),
+                                      time_var ),
+                                  flt (pf "phase") );
+                            ] ) ) );
+            ];
+        } );
+    ( "Pulse",
+      fun g ps ->
+        let pf = Param.float ps in
+        {
+          nothing with
+          needs_time = true;
+          step =
+            [
+              Decl
+                ( Double_t, g.name ^ "_frac",
+                  Some (call "fmod" [ time_var; flt (pf "period") ]) );
+              Assign
+                ( out0 g,
+                  Ternary
+                    ( Bin
+                        ("<", Var (g.name ^ "_frac"),
+                         flt (pf "duty" *. pf "period")),
+                      flt (pf "amp"), flt 0.0 ) );
+            ];
+        } );
+    ( "SetpointSchedule",
+      fun g ps ->
+        let times = Param.floats ps "times" and values = Param.floats ps "values" in
+        let n = Array.length times in
+        {
+          nothing with
+          needs_time = true;
+          state_fields = [];
+          init = [];
+          step =
+            [ Assign (out0 g, flt 0.0) ]
+            @ List.init n (fun i ->
+                  If
+                    ( Bin (">=", time_var, flt times.(i)),
+                      [ Assign (out0 g, flt values.(i)) ],
+                      [] ));
+        } );
+    ( "Clock",
+      fun g _ ->
+        { nothing with needs_time = true; step = [ Assign (out0 g, time_var) ] } );
+    ( "UniformNoise",
+      fun g ps ->
+        let pf = Param.float ps in
+        (* xorshift32 scaled into [lo, hi), as Sources.uniform_noise draws *)
+        let lo = pf "lo" and hi = pf "hi" in
+        {
+          nothing with
+          state_fields = [ (U32, "seed") ];
+          init = [ Assign (g.state "seed", Hex_lit (Param.int ps "seed" land 0xFFFFFFF)) ];
+          step =
+            [
+              Assign
+                ( g.state "seed",
+                  Bin ("^", g.state "seed", Bin ("<<", g.state "seed", Int_lit 13)) );
+              Assign
+                ( g.state "seed",
+                  Bin ("^", g.state "seed", Bin (">>", g.state "seed", Int_lit 17)) );
+              Assign
+                ( g.state "seed",
+                  Bin ("^", g.state "seed", Bin ("<<", g.state "seed", Int_lit 5)) );
+              Assign
+                ( out0 g,
+                  Bin
+                    ( "+",
+                      flt lo,
+                      Bin
+                        ( "*",
+                          Bin
+                            ( "/",
+                              Cast_to (Double_t, g.state "seed"),
+                              flt 4294967296.0 ),
+                          flt (hi -. lo) ) ) );
+            ];
+        } );
+    ( "Gain",
+      fun g ps ->
+        let pf = Param.float ps in
+        { nothing with step = [ Assign (out0 g, Bin ("*", flt (pf "k"), in0 g)) ] } );
+    ( "Sum",
+      fun g ps ->
+        let signs = Param.string ps "signs" in
+        let expr =
+          List.fold_left
+            (fun acc (i, c) ->
+              let term = List.nth g.ins i in
+              match acc with
+              | None -> Some (if c = '+' then term else Un ("-", term))
+              | Some e -> Some (Bin ((if c = '+' then "+" else "-"), e, term)))
+            None
+            (List.init (String.length signs) (fun i -> (i, signs.[i])))
+        in
+        { nothing with step = [ Assign (out0 g, Option.get expr) ] } );
+    ( "Product",
+      fun g ps ->
+        let n = Param.int ps "n" in
+        let expr =
+          List.fold_left
+            (fun acc i ->
+              match acc with
+              | None -> Some (List.nth g.ins i)
+              | Some e -> Some (Bin ("*", e, List.nth g.ins i)))
+            None
+            (List.init n Fun.id)
+        in
+        { nothing with step = [ Assign (out0 g, Option.get expr) ] } );
+    ( "Divide",
+      fun g _ ->
+        { nothing with step = [ Assign (out0 g, Bin ("/", in0 g, List.nth g.ins 1)) ] } );
+    ( "Abs",
+      fun g _ ->
+        {
+          nothing with
+          step = [ Assign (out0 g, Ternary (Bin ("<", in0 g, flt 0.0), Un ("-", in0 g), in0 g)) ];
+        } );
+    ("Neg", fun g _ -> { nothing with step = [ Assign (out0 g, Un ("-", in0 g)) ] });
+    ( "Sign",
+      fun g _ ->
+        {
+          nothing with
+          step =
+            [
+              Assign
+                ( out0 g,
+                  Ternary
+                    ( Bin (">", in0 g, flt 0.0),
+                      flt 1.0,
+                      Ternary (Bin ("<", in0 g, flt 0.0), flt (-1.0), flt 0.0) ) );
+            ];
+        } );
+    ( "Min",
+      fun g _ ->
+        {
+          nothing with
+          step =
+            [
+              Assign
+                ( out0 g,
+                  Ternary
+                    (Bin ("<", in0 g, List.nth g.ins 1), in0 g, List.nth g.ins 1) );
+            ];
+        } );
+    ( "Max",
+      fun g _ ->
+        {
+          nothing with
+          step =
+            [
+              Assign
+                ( out0 g,
+                  Ternary
+                    (Bin (">", in0 g, List.nth g.ins 1), in0 g, List.nth g.ins 1) );
+            ];
+        } );
+    ( "Cast",
+      fun g _ ->
+        { nothing with step = [ Assign (out0 g, Cast_to (oty0 g, in0 g)) ] } );
+    ( "Compare",
+      fun g ps ->
+        let op =
+          match Param.string ps "op" with
+          | "lt" -> "<"
+          | "le" -> "<="
+          | "gt" -> ">"
+          | "ge" -> ">="
+          | "eq" -> "=="
+          | _ -> "!="
+        in
+        { nothing with step = [ Assign (out0 g, Bin (op, in0 g, List.nth g.ins 1)) ] } );
+    ( "Logic",
+      fun g ps ->
+        let stmt =
+          match Param.string ps "op" with
+          | "not" -> Assign (out0 g, Un ("!", in0 g))
+          | "and" -> Assign (out0 g, Bin ("&&", in0 g, List.nth g.ins 1))
+          | "or" -> Assign (out0 g, Bin ("||", in0 g, List.nth g.ins 1))
+          | _ ->
+              Assign
+                ( out0 g,
+                  Bin ("!=", Un ("!", in0 g), Un ("!", List.nth g.ins 1)) )
+        in
+        { nothing with step = [ stmt ] } );
+    ( "MathFn",
+      fun g ps ->
+        { nothing with step = [ Assign (out0 g, call (Param.string ps "fn") [ in0 g ]) ] } );
+    ( "UnitDelay",
+      fun g ps ->
+        let pf = Param.float ps in
+        (* MIL stores the next state through Value.cast (round + saturate
+           for integer dtypes); mirror that rather than a raw C cast. *)
         let store e =
           match cast_helper_of_dtype (odt0 g) with
           | Some h -> call h [ e ]
           | None -> Cast_to (oty0 g, e)
         in
-        let zero_elt =
+        let init_val =
           match cast_helper_of_dtype (odt0 g) with
-          | Some _ -> Int_lit 0
-          | None -> flt 0.0
+          | Some h -> call h [ flt (pf "init") ]
+          | None -> flt (pf "init")
         in
         {
           nothing with
-          state_fields = [ (Arr (oty0 g, n), "buf"); (U16, "idx") ];
+          state_fields = [ (oty0 g, "x") ];
+          init = [ Assign (g.state "x", init_val) ];
+          step = [ Assign (out0 g, g.state "x") ];
+          update = [ Assign (g.state "x", store (in0 g)) ];
+        } );
+    ( "DelayN",
+      fun g ps ->
+        let n = Param.int ps "n" in
+        if n = 0 then { nothing with step = [ Assign (out0 g, in0 g) ] }
+        else
+          let store e =
+            match cast_helper_of_dtype (odt0 g) with
+            | Some h -> call h [ e ]
+            | None -> Cast_to (oty0 g, e)
+          in
+          let zero_elt =
+            match cast_helper_of_dtype (odt0 g) with
+            | Some _ -> Int_lit 0
+            | None -> flt 0.0
+          in
+          {
+            nothing with
+            state_fields = [ (Arr (oty0 g, n), "buf"); (U16, "idx") ];
+            init =
+              [
+                Assign (g.state "idx", Int_lit 0);
+                For
+                  ( Decl (I32, "i", Some (Int_lit 0)),
+                    Bin ("<", Var "i", Int_lit n),
+                    Expr (Un ("++", Var "i")),
+                    [ Assign (Index (g.state "buf", Var "i"), zero_elt) ] );
+              ];
+            step = [ Assign (out0 g, Index (g.state "buf", g.state "idx")) ];
+            update =
+              [
+                Assign (Index (g.state "buf", g.state "idx"), store (in0 g));
+                Assign
+                  ( g.state "idx",
+                    Cast_to
+                      (U16, Bin ("%", Bin ("+", g.state "idx", Int_lit 1), Int_lit n)) );
+              ];
+          } );
+    ("ZOH", fun g _ -> { nothing with step = [ Assign (out0 g, in0 g) ] });
+    ( "DiscreteIntegrator",
+      fun g ps ->
+        let pf = Param.float ps in
+        let lo = pf "lo" and hi = pf "hi" in
+        {
+          nothing with
+          state_fields = [ (Double_t, "y") ];
+          init = [ Assign (g.state "y", flt (pf "init")) ];
+          step = [ Assign (out0 g, g.state "y") ];
+          update =
+            Assign
+              ( g.state "y",
+                Bin
+                  ( "+",
+                    g.state "y",
+                    Bin ("*", flt (pf "k" *. g.dt), in0 g) ) )
+            :: clamp_stmts (g.state "y") lo hi;
+        } );
+    ( "DiscreteDerivative",
+      fun g ps ->
+        let pf = Param.float ps in
+        {
+          nothing with
+          state_fields = [ (Double_t, "prev") ];
+          init = [ Assign (g.state "prev", flt 0.0) ];
+          step =
+            [
+              (* (k * (u - u_prev)) / dt, associated exactly as the
+                 simulation computes it so traces match bit for bit *)
+              Assign
+                ( out0 g,
+                  Bin
+                    ( "/",
+                      Bin ("*", flt (pf "k"), Bin ("-", in0 g, g.state "prev")),
+                      flt g.dt ) );
+            ];
+          update = [ Assign (g.state "prev", in0 g) ];
+        } );
+    ( "DiscreteTransferFcn",
+      fun g ps ->
+        let tf =
+          Ztransfer.create ~num:(Param.floats ps "num") ~den:(Param.floats ps "den")
+        in
+        let b = Ztransfer.num tf and a = Ztransfer.den tf in
+        let n = Ztransfer.order tf in
+        if n = 0 then
+          { nothing with step = [ Assign (out0 g, Bin ("*", flt b.(0), in0 g)) ] }
+        else
+          {
+            nothing with
+            state_fields = [ (Arr (Double_t, n), "w") ];
+            init =
+              [
+                For
+                  ( Decl (I32, "i", Some (Int_lit 0)),
+                    Bin ("<", Var "i", Int_lit n),
+                    Expr (Un ("++", Var "i")),
+                    [ Assign (Index (g.state "w", Var "i"), flt 0.0) ] );
+              ];
+            step =
+              (* direct form II transposed sweep *)
+              [
+                Decl
+                  ( Double_t, g.name ^ "_y",
+                    Some
+                      (Bin ("+", Bin ("*", flt b.(0), in0 g),
+                            Index (g.state "w", Int_lit 0))) );
+              ]
+              @ List.init n (fun i ->
+                    let next =
+                      if i + 1 < n then Index (g.state "w", Int_lit (i + 1))
+                      else flt 0.0
+                    in
+                    Assign
+                      ( Index (g.state "w", Int_lit i),
+                        Bin
+                          ( "-",
+                            Bin ("+", next, Bin ("*", flt b.(i + 1), in0 g)),
+                            Bin ("*", flt a.(i + 1), Var (g.name ^ "_y")) ) ))
+              @ [ Assign (out0 g, Var (g.name ^ "_y")) ];
+          } );
+    ( "Pid",
+      fun g ps ->
+        let pf = Param.float ps in
+        let kp = pf "kp" and ki = pf "ki" and kd = pf "kd" and nf = pf "n" in
+        let u_min = pf "u_min" and u_max = pf "u_max" in
+        let ts = pf "ts" in
+        let e = Var (g.name ^ "_e") and d = Var (g.name ^ "_d") in
+        let u = Var (g.name ^ "_u") in
+        let d_expr =
+          if kd = 0.0 then flt 0.0
+          else if nf = 0.0 then
+            Bin ("/", Bin ("*", flt kd, Bin ("-", e, g.state "e_prev")), flt ts)
+          else
+            Bin
+              ( "/",
+                Bin
+                  ( "+",
+                    g.state "d_prev",
+                    Bin ("*", flt (kd *. nf), Bin ("-", e, g.state "e_prev")) ),
+                flt (1.0 +. (nf *. ts)) )
+        in
+        let anti_windup_guard =
+          Bin
+            ( "||",
+              Bin ("&&", Bin (">", u, flt u_max), Bin (">", e, flt 0.0)),
+              Bin ("&&", Bin ("<", u, flt u_min), Bin ("<", e, flt 0.0)) )
+        in
+        {
+          nothing with
+          state_fields =
+            [ (Double_t, "integ"); (Double_t, "e_prev"); (Double_t, "d_prev") ];
+          init =
+            [
+              Assign (g.state "integ", flt 0.0);
+              Assign (g.state "e_prev", flt 0.0);
+              Assign (g.state "d_prev", flt 0.0);
+            ];
+          step =
+            [
+              Decl (Double_t, g.name ^ "_e", Some (Bin ("-", in0 g, List.nth g.ins 1)));
+              Decl (Double_t, g.name ^ "_d", Some d_expr);
+              Decl
+                ( Double_t, g.name ^ "_u",
+                  Some (Bin ("+", Bin ("+", Bin ("*", flt kp, e), g.state "integ"), d)) );
+              If
+                ( Un ("!", Ternary (anti_windup_guard, Int_lit 1, Int_lit 0)),
+                  [
+                    Assign
+                      ( g.state "integ",
+                        Bin ("+", g.state "integ", Bin ("*", flt (ki *. ts), e)) );
+                  ],
+                  [] );
+              Assign (g.state "e_prev", e);
+              Assign (g.state "d_prev", d);
+            ]
+            @ clamp_stmts u u_min u_max
+            @ [ Assign (out0 g, u) ];
+        } );
+    ( "FixPid",
+      fun g ps ->
+        let pf = Param.float ps in
+        let fmt =
+          match Param.dtype ps "fmt" with
+          | Dtype.Fix f -> f
+          | _ -> failwith "FixPid: fmt param"
+        in
+        let gains =
+          Pid.gains ~kp:(pf "kp") ~ki:(pf "ki") ~kd:(pf "kd") ~n:(pf "n")
+            ~u_min:(pf "u_min") ~u_max:(pf "u_max") ()
+        in
+        let fx =
+          Pid.Fixpoint.create ~ts:(pf "ts") ~fmt ~in_scale:(pf "in_scale")
+            ~out_scale:(pf "out_scale") gains
+        in
+        let c = Pid.Fixpoint.raw_coefficients fx in
+        let in_scale = pf "in_scale" and out_scale = pf "out_scale" in
+        let sig_one = float_of_int (1 lsl c.Pid.Fixpoint.sig_frac_bits) in
+        let coef_one = float_of_int (1 lsl c.Pid.Fixpoint.coef_frac_bits) in
+        let e = Var (g.name ^ "_e") in
+        let acc = Var (g.name ^ "_acc") in
+        (* Saturating helpers are emitted once per model by the target as
+           pe_sat16/pe_sat32; here we just call them. *)
+        {
+          nothing with
+          state_fields = [ (I32, "integ"); (I16, "e_prev"); (I32, "d_prev") ];
+          init =
+            [
+              Assign (g.state "integ", Int_lit 0);
+              Assign (g.state "e_prev", Int_lit 0);
+              Assign (g.state "d_prev", Int_lit 0);
+            ];
+          step =
+            [
+              Comment
+                (Printf.sprintf "Q%d signals, %d.%d coefficients; scales in=%g out=%g"
+                   c.Pid.Fixpoint.sig_frac_bits
+                   (32 - c.Pid.Fixpoint.coef_frac_bits)
+                   c.Pid.Fixpoint.coef_frac_bits in_scale out_scale);
+              Decl
+                ( I16, g.name ^ "_e",
+                  Some
+                    (call "pe_sat16"
+                       [
+                         Cast_to
+                           ( I32,
+                             call "lround"
+                               [
+                                 Bin
+                                   ( "*",
+                                     Bin
+                                       ( "/",
+                                         Bin ("-", in0 g, List.nth g.ins 1),
+                                         flt in_scale ),
+                                     flt sig_one );
+                               ] );
+                       ]) );
+              (* p term in coefficient format: kp * e >> sig_frac *)
+              Decl
+                ( I32, g.name ^ "_acc",
+                  Some
+                    (call "pe_mul_shift"
+                       [
+                         Int_lit c.Pid.Fixpoint.kp_raw;
+                         Cast_to (I32, e);
+                         Int_lit c.Pid.Fixpoint.sig_frac_bits;
+                       ]) );
+              Assign (acc, call "pe_sat_add32" [ acc; g.state "integ" ]);
+            ]
+            @ (if c.Pid.Fixpoint.kd_c1_raw <> 0 then
+                 [
+                   Decl
+                     ( I32, g.name ^ "_de",
+                       Some
+                         (Bin
+                            ( "-",
+                              Bin ("<<", Cast_to (I32, e),
+                                   Int_lit
+                                     (c.Pid.Fixpoint.coef_frac_bits
+                                      - c.Pid.Fixpoint.sig_frac_bits)),
+                              Bin ("<<", Cast_to (I32, g.state "e_prev"),
+                                   Int_lit
+                                     (c.Pid.Fixpoint.coef_frac_bits
+                                      - c.Pid.Fixpoint.sig_frac_bits)) )) );
+                   Decl
+                     ( I32, g.name ^ "_d",
+                       Some
+                         (call "pe_sat_add32"
+                            [
+                              call "pe_mul_shift"
+                                [
+                                  Int_lit c.Pid.Fixpoint.kd_c1_raw;
+                                  Var (g.name ^ "_de");
+                                  Int_lit c.Pid.Fixpoint.coef_frac_bits;
+                                ];
+                              call "pe_mul_shift"
+                                [
+                                  Int_lit c.Pid.Fixpoint.d_decay_raw;
+                                  g.state "d_prev";
+                                  Int_lit c.Pid.Fixpoint.coef_frac_bits;
+                                ];
+                            ]) );
+                   Assign (acc, call "pe_sat_add32" [ acc; Var (g.name ^ "_d") ]);
+                   Assign (g.state "d_prev", Var (g.name ^ "_d"));
+                 ]
+               else [])
+            @ [
+                If
+                  ( Un
+                      ( "!",
+                        Ternary
+                          ( Bin
+                              ( "||",
+                                Bin
+                                  ( "&&",
+                                    Bin (">", acc, Int_lit c.Pid.Fixpoint.u_max_raw),
+                                    Bin (">", e, Int_lit 0) ),
+                                Bin
+                                  ( "&&",
+                                    Bin ("<", acc, Int_lit c.Pid.Fixpoint.u_min_raw),
+                                    Bin ("<", e, Int_lit 0) ) ),
+                            Int_lit 1, Int_lit 0 ) ),
+                    [
+                      Assign
+                        ( g.state "integ",
+                          call "pe_sat_add32"
+                            [
+                              g.state "integ";
+                              call "pe_mul_shift"
+                                [
+                                  Int_lit c.Pid.Fixpoint.ki_ts_raw;
+                                  Cast_to (I32, e);
+                                  Int_lit c.Pid.Fixpoint.sig_frac_bits;
+                                ];
+                            ] );
+                    ],
+                    [] );
+                Assign (g.state "e_prev", e);
+              ]
+            @ clamp_stmts_int acc c.Pid.Fixpoint.u_min_raw
+                c.Pid.Fixpoint.u_max_raw
+            @ [
+                Assign
+                  ( out0 g,
+                    Bin
+                      ( "*",
+                        Bin ("/", Cast_to (Double_t, acc), flt coef_one),
+                        flt out_scale ) );
+              ];
+        } );
+    ( "RateLimiter",
+      fun g ps ->
+        let pf = Param.float ps in
+        let rising = pf "rising" and falling = pf "falling" in
+        {
+          nothing with
+          state_fields = [ (Double_t, "prev"); (U8, "started") ];
+          init =
+            [ Assign (g.state "prev", flt 0.0); Assign (g.state "started", Int_lit 0) ];
+          step =
+            [
+              Decl (Double_t, g.name ^ "_dy", Some (Bin ("-", in0 g, g.state "prev")));
+              If
+                ( Bin ("==", g.state "started", Int_lit 0),
+                  [
+                    Assign (g.state "prev", in0 g);
+                    Assign (g.state "started", Int_lit 1);
+                  ],
+                  [
+                    If
+                      ( Bin (">", Var (g.name ^ "_dy"), flt (rising *. g.dt)),
+                        [ Assign (Var (g.name ^ "_dy"), flt (rising *. g.dt)) ],
+                        [] );
+                    If
+                      ( Bin ("<", Var (g.name ^ "_dy"), flt (-.falling *. g.dt)),
+                        [ Assign (Var (g.name ^ "_dy"), flt (-.falling *. g.dt)) ],
+                        [] );
+                    Assign
+                      (g.state "prev", Bin ("+", g.state "prev", Var (g.name ^ "_dy")));
+                  ] );
+              Assign (out0 g, g.state "prev");
+            ];
+        } );
+    ( "MovingAverage",
+      fun g ps ->
+        let n = Param.int ps "n" in
+        {
+          nothing with
+          state_fields = [ (Arr (Double_t, n), "buf"); (U16, "idx"); (U16, "filled") ];
           init =
             [
               Assign (g.state "idx", Int_lit 0);
+              Assign (g.state "filled", Int_lit 0);
               For
                 ( Decl (I32, "i", Some (Int_lit 0)),
                   Bin ("<", Var "i", Int_lit n),
                   Expr (Un ("++", Var "i")),
-                  [ Assign (Index (g.state "buf", Var "i"), zero_elt) ] );
+                  [ Assign (Index (g.state "buf", Var "i"), flt 0.0) ] );
             ];
-          step = [ Assign (out0 g, Index (g.state "buf", g.state "idx")) ];
-          update =
+          step =
             [
-              Assign (Index (g.state "buf", g.state "idx"), store (in0 g));
+              Assign (Index (g.state "buf", g.state "idx"), in0 g);
               Assign
                 ( g.state "idx",
                   Cast_to
                     (U16, Bin ("%", Bin ("+", g.state "idx", Int_lit 1), Int_lit n)) );
-            ];
-        }
-  | "ZOH" -> { nothing with step = [ Assign (out0 g, in0 g) ] }
-  | "DiscreteIntegrator" ->
-      let lo = pf "lo" and hi = pf "hi" in
-      {
-        nothing with
-        state_fields = [ (Double_t, "y") ];
-        init = [ Assign (g.state "y", flt (pf "init")) ];
-        step = [ Assign (out0 g, g.state "y") ];
-        update =
-          Assign
-            ( g.state "y",
-              Bin
-                ( "+",
-                  g.state "y",
-                  Bin ("*", flt (pf "k" *. g.dt), in0 g) ) )
-          :: clamp_stmts (g.state "y") lo hi;
-      }
-  | "DiscreteDerivative" ->
-      {
-        nothing with
-        state_fields = [ (Double_t, "prev") ];
-        init = [ Assign (g.state "prev", flt 0.0) ];
-        step =
-          [
-            (* (k * (u - u_prev)) / dt, associated exactly as the
-               simulation computes it so traces match bit for bit *)
-            Assign
-              ( out0 g,
-                Bin
-                  ( "/",
-                    Bin ("*", flt (pf "k"), Bin ("-", in0 g, g.state "prev")),
-                    flt g.dt ) );
-          ];
-        update = [ Assign (g.state "prev", in0 g) ];
-      }
-  | "DiscreteTransferFcn" ->
-      let tf =
-        Ztransfer.create ~num:(Param.floats ps "num") ~den:(Param.floats ps "den")
-      in
-      let b = Ztransfer.num tf and a = Ztransfer.den tf in
-      let n = Ztransfer.order tf in
-      if n = 0 then
-        { nothing with step = [ Assign (out0 g, Bin ("*", flt b.(0), in0 g)) ] }
-      else
-        {
-          nothing with
-          state_fields = [ (Arr (Double_t, n), "w") ];
-          init =
-            [
+              If
+                ( Bin ("<", g.state "filled", Int_lit n),
+                  [ Assign (g.state "filled", Bin ("+", g.state "filled", Int_lit 1)) ],
+                  [] );
+              Decl (Double_t, g.name ^ "_s", Some (flt 0.0));
               For
                 ( Decl (I32, "i", Some (Int_lit 0)),
                   Bin ("<", Var "i", Int_lit n),
                   Expr (Un ("++", Var "i")),
-                  [ Assign (Index (g.state "w", Var "i"), flt 0.0) ] );
-            ];
-          step =
-            (* direct form II transposed sweep *)
-            [
-              Decl
-                ( Double_t, g.name ^ "_y",
-                  Some
-                    (Bin ("+", Bin ("*", flt b.(0), in0 g),
-                          Index (g.state "w", Int_lit 0))) );
-            ]
-            @ List.init n (fun i ->
-                  let next =
-                    if i + 1 < n then Index (g.state "w", Int_lit (i + 1))
-                    else flt 0.0
-                  in
-                  Assign
-                    ( Index (g.state "w", Int_lit i),
-                      Bin
-                        ( "-",
-                          Bin ("+", next, Bin ("*", flt b.(i + 1), in0 g)),
-                          Bin ("*", flt a.(i + 1), Var (g.name ^ "_y")) ) ))
-            @ [ Assign (out0 g, Var (g.name ^ "_y")) ];
-        }
-  | "Pid" ->
-      let kp = pf "kp" and ki = pf "ki" and kd = pf "kd" and nf = pf "n" in
-      let u_min = pf "u_min" and u_max = pf "u_max" in
-      let ts = pf "ts" in
-      let e = Var (g.name ^ "_e") and d = Var (g.name ^ "_d") in
-      let u = Var (g.name ^ "_u") in
-      let d_expr =
-        if kd = 0.0 then flt 0.0
-        else if nf = 0.0 then
-          Bin ("/", Bin ("*", flt kd, Bin ("-", e, g.state "e_prev")), flt ts)
-        else
-          Bin
-            ( "/",
-              Bin
-                ( "+",
-                  g.state "d_prev",
-                  Bin ("*", flt (kd *. nf), Bin ("-", e, g.state "e_prev")) ),
-              flt (1.0 +. (nf *. ts)) )
-      in
-      let anti_windup_guard =
-        Bin
-          ( "||",
-            Bin ("&&", Bin (">", u, flt u_max), Bin (">", e, flt 0.0)),
-            Bin ("&&", Bin ("<", u, flt u_min), Bin ("<", e, flt 0.0)) )
-      in
-      {
-        nothing with
-        state_fields =
-          [ (Double_t, "integ"); (Double_t, "e_prev"); (Double_t, "d_prev") ];
-        init =
-          [
-            Assign (g.state "integ", flt 0.0);
-            Assign (g.state "e_prev", flt 0.0);
-            Assign (g.state "d_prev", flt 0.0);
-          ];
-        step =
-          [
-            Decl (Double_t, g.name ^ "_e", Some (Bin ("-", in0 g, List.nth g.ins 1)));
-            Decl (Double_t, g.name ^ "_d", Some d_expr);
-            Decl
-              ( Double_t, g.name ^ "_u",
-                Some (Bin ("+", Bin ("+", Bin ("*", flt kp, e), g.state "integ"), d)) );
-            If
-              ( Un ("!", Ternary (anti_windup_guard, Int_lit 1, Int_lit 0)),
-                [
-                  Assign
-                    ( g.state "integ",
-                      Bin ("+", g.state "integ", Bin ("*", flt (ki *. ts), e)) );
-                ],
-                [] );
-            Assign (g.state "e_prev", e);
-            Assign (g.state "d_prev", d);
-          ]
-          @ clamp_stmts u u_min u_max
-          @ [ Assign (out0 g, u) ];
-      }
-  | "FixPid" ->
-      let fmt =
-        match Param.dtype ps "fmt" with
-        | Dtype.Fix f -> f
-        | _ -> failwith "FixPid: fmt param"
-      in
-      let gains =
-        Pid.gains ~kp:(pf "kp") ~ki:(pf "ki") ~kd:(pf "kd") ~n:(pf "n")
-          ~u_min:(pf "u_min") ~u_max:(pf "u_max") ()
-      in
-      let fx =
-        Pid.Fixpoint.create ~ts:(pf "ts") ~fmt ~in_scale:(pf "in_scale")
-          ~out_scale:(pf "out_scale") gains
-      in
-      let c = Pid.Fixpoint.raw_coefficients fx in
-      let in_scale = pf "in_scale" and out_scale = pf "out_scale" in
-      let sig_one = float_of_int (1 lsl c.Pid.Fixpoint.sig_frac_bits) in
-      let coef_one = float_of_int (1 lsl c.Pid.Fixpoint.coef_frac_bits) in
-      let e = Var (g.name ^ "_e") in
-      let acc = Var (g.name ^ "_acc") in
-      (* Saturating helpers are emitted once per model by the target as
-         pe_sat16/pe_sat32; here we just call them. *)
-      {
-        nothing with
-        state_fields = [ (I32, "integ"); (I16, "e_prev"); (I32, "d_prev") ];
-        init =
-          [
-            Assign (g.state "integ", Int_lit 0);
-            Assign (g.state "e_prev", Int_lit 0);
-            Assign (g.state "d_prev", Int_lit 0);
-          ];
-        step =
-          [
-            Comment
-              (Printf.sprintf "Q%d signals, %d.%d coefficients; scales in=%g out=%g"
-                 c.Pid.Fixpoint.sig_frac_bits
-                 (32 - c.Pid.Fixpoint.coef_frac_bits)
-                 c.Pid.Fixpoint.coef_frac_bits in_scale out_scale);
-            Decl
-              ( I16, g.name ^ "_e",
-                Some
-                  (call "pe_sat16"
-                     [
-                       Cast_to
-                         ( I32,
-                           call "lround"
-                             [
-                               Bin
-                                 ( "*",
-                                   Bin
-                                     ( "/",
-                                       Bin ("-", in0 g, List.nth g.ins 1),
-                                       flt in_scale ),
-                                   flt sig_one );
-                             ] );
-                     ]) );
-            (* p term in coefficient format: kp * e >> sig_frac *)
-            Decl
-              ( I32, g.name ^ "_acc",
-                Some
-                  (call "pe_mul_shift"
-                     [
-                       Int_lit c.Pid.Fixpoint.kp_raw;
-                       Cast_to (I32, e);
-                       Int_lit c.Pid.Fixpoint.sig_frac_bits;
-                     ]) );
-            Assign (acc, call "pe_sat_add32" [ acc; g.state "integ" ]);
-          ]
-          @ (if c.Pid.Fixpoint.kd_c1_raw <> 0 then
-               [
-                 Decl
-                   ( I32, g.name ^ "_de",
-                     Some
-                       (Bin
-                          ( "-",
-                            Bin ("<<", Cast_to (I32, e),
-                                 Int_lit
-                                   (c.Pid.Fixpoint.coef_frac_bits
-                                    - c.Pid.Fixpoint.sig_frac_bits)),
-                            Bin ("<<", Cast_to (I32, g.state "e_prev"),
-                                 Int_lit
-                                   (c.Pid.Fixpoint.coef_frac_bits
-                                    - c.Pid.Fixpoint.sig_frac_bits)) )) );
-                 Decl
-                   ( I32, g.name ^ "_d",
-                     Some
-                       (call "pe_sat_add32"
-                          [
-                            call "pe_mul_shift"
-                              [
-                                Int_lit c.Pid.Fixpoint.kd_c1_raw;
-                                Var (g.name ^ "_de");
-                                Int_lit c.Pid.Fixpoint.coef_frac_bits;
-                              ];
-                            call "pe_mul_shift"
-                              [
-                                Int_lit c.Pid.Fixpoint.d_decay_raw;
-                                g.state "d_prev";
-                                Int_lit c.Pid.Fixpoint.coef_frac_bits;
-                              ];
-                          ]) );
-                 Assign (acc, call "pe_sat_add32" [ acc; Var (g.name ^ "_d") ]);
-                 Assign (g.state "d_prev", Var (g.name ^ "_d"));
-               ]
-             else [])
-          @ [
-              If
-                ( Un
-                    ( "!",
-                      Ternary
-                        ( Bin
-                            ( "||",
-                              Bin
-                                ( "&&",
-                                  Bin (">", acc, Int_lit c.Pid.Fixpoint.u_max_raw),
-                                  Bin (">", e, Int_lit 0) ),
-                              Bin
-                                ( "&&",
-                                  Bin ("<", acc, Int_lit c.Pid.Fixpoint.u_min_raw),
-                                  Bin ("<", e, Int_lit 0) ) ),
-                          Int_lit 1, Int_lit 0 ) ),
                   [
                     Assign
-                      ( g.state "integ",
-                        call "pe_sat_add32"
-                          [
-                            g.state "integ";
-                            call "pe_mul_shift"
-                              [
-                                Int_lit c.Pid.Fixpoint.ki_ts_raw;
-                                Cast_to (I32, e);
-                                Int_lit c.Pid.Fixpoint.sig_frac_bits;
-                              ];
-                          ] );
-                  ],
-                  [] );
-              Assign (g.state "e_prev", e);
+                      ( Var (g.name ^ "_s"),
+                        Bin ("+", Var (g.name ^ "_s"), Index (g.state "buf", Var "i")) );
+                  ] );
+              Assign
+                ( out0 g,
+                  Bin ("/", Var (g.name ^ "_s"), Cast_to (Double_t, g.state "filled")) );
+            ];
+        } );
+    ( "EncoderSpeed",
+      fun g ps ->
+        let cpr = Param.int ps "counts_per_rev" in
+        let k = 2.0 *. Float.pi /. float_of_int cpr in
+        {
+          nothing with
+          state_fields = [ (I32, "prev") ];
+          init = [ Assign (g.state "prev", Int_lit 0) ];
+          step =
+            [
+              (* wrap-aware 16-bit difference works for both absolute and
+                 wrapped position registers *)
+              Decl
+                ( I16, g.name ^ "_dc",
+                  Some (Cast_to (I16, Bin ("-", in0 g, g.state "prev"))) );
+              (* ((double)dc * k) / dt, associated as the simulation does *)
+              Assign
+                ( out0 g,
+                  Bin
+                    ( "/",
+                      Bin
+                        ("*", Cast_to (Double_t, Var (g.name ^ "_dc")), flt k),
+                      flt g.dt ) );
+              Assign (g.state "prev", Cast_to (I32, in0 g));
+            ];
+        } );
+    ( "Saturation",
+      fun g ps ->
+        let pf = Param.float ps in
+        {
+          nothing with
+          step =
+            (Assign (out0 g, in0 g) :: clamp_stmts (out0 g) (pf "lo") (pf "hi"));
+        } );
+    ( "Quantizer",
+      fun g ps ->
+        let pf = Param.float ps in
+        let q = pf "interval" in
+        {
+          nothing with
+          step =
+            [
+              Assign
+                ( out0 g,
+                  Bin ("*", flt q, call "round" [ Bin ("/", in0 g, flt q) ]) );
+            ];
+        } );
+    ( "DeadZone",
+      fun g ps ->
+        let pf = Param.float ps in
+        let lo = pf "lo" and hi = pf "hi" in
+        {
+          nothing with
+          step =
+            [
+              Assign (out0 g, flt 0.0);
+              If
+                ( Bin (">", in0 g, flt hi),
+                  [ Assign (out0 g, Bin ("-", in0 g, flt hi)) ],
+                  [
+                    If
+                      ( Bin ("<", in0 g, flt lo),
+                        [ Assign (out0 g, Bin ("-", in0 g, flt lo)) ],
+                        [] );
+                  ] );
+            ];
+        } );
+    ( "Relay",
+      fun g ps ->
+        let pf = Param.float ps in
+        {
+          nothing with
+          state_fields = [ (U8, "on") ];
+          init = [ Assign (g.state "on", Int_lit 0) ];
+          step =
+            [
+              If
+                ( Bin (">=", in0 g, flt (pf "on_point")),
+                  [ Assign (g.state "on", Int_lit 1) ],
+                  [
+                    If
+                      ( Bin ("<=", in0 g, flt (pf "off_point")),
+                        [ Assign (g.state "on", Int_lit 0) ],
+                        [] );
+                  ] );
+              Assign
+                ( out0 g,
+                  Ternary (g.state "on", flt (pf "on_value"), flt (pf "off_value")) );
+            ];
+        } );
+    ( "Switch",
+      fun g ps ->
+        let pf = Param.float ps in
+        {
+          nothing with
+          step =
+            [
+              Assign
+                ( out0 g,
+                  Ternary
+                    ( Bin (">=", List.nth g.ins 1, flt (pf "threshold")),
+                      in0 g, List.nth g.ins 2 ) );
+            ];
+        } );
+    ( "CoulombFriction",
+      fun g ps ->
+        let pf = Param.float ps in
+        let level = pf "level" in
+        {
+          nothing with
+          step =
+            [
+              Assign
+                ( out0 g,
+                  Bin
+                    ( "+",
+                      in0 g,
+                      Ternary
+                        ( Bin (">", in0 g, flt 0.0),
+                          flt level,
+                          Ternary (Bin ("<", in0 g, flt 0.0), flt (-.level), flt 0.0) ) ) );
+            ];
+        } );
+    ( "Lookup1D",
+      fun g ps ->
+        (* Table_blocks.interp unrolled over the literal breakpoints: the
+           same end clamps, the same (lo + hi) / 2 bisection and the same
+           interpolation, so every x (NaN included) takes the same path
+           and gets the same bits *)
+        let xs = Param.floats ps "xs" and ys = Param.floats ps "ys" in
+        let n = Array.length xs in
+        let x = Var (g.name ^ "_x") in
+        let rec bisect lo hi =
+          if hi - lo <= 1 then
+            [
+              Assign
+                ( out0 g,
+                  Bin
+                    ( "+",
+                      flt ys.(lo),
+                      Bin
+                        ( "/",
+                          Bin ("*", flt (ys.(hi) -. ys.(lo)), Bin ("-", x, flt xs.(lo))),
+                          flt (xs.(hi) -. xs.(lo)) ) ) );
             ]
-          @ clamp_stmts_int acc c.Pid.Fixpoint.u_min_raw
-              c.Pid.Fixpoint.u_max_raw
-          @ [
+          else
+            let mid = (lo + hi) / 2 in
+            [ If (Bin ("<=", flt xs.(mid), x), bisect mid hi, bisect lo mid) ]
+        in
+        {
+          nothing with
+          step =
+            [
+              Comment (Printf.sprintf "piecewise-linear lookup, %d breakpoints" n);
+              Decl (Double_t, g.name ^ "_x", Some (in0 g));
+              If
+                ( Bin ("<=", x, flt xs.(0)),
+                  [ Assign (out0 g, flt ys.(0)) ],
+                  [
+                    If
+                      ( Bin (">=", x, flt xs.(n - 1)),
+                        [ Assign (out0 g, flt ys.(n - 1)) ],
+                        bisect 0 (n - 1) );
+                  ] );
+            ];
+        } );
+    ( "Lookup1DNearest",
+      fun g ps ->
+        (* the simulation's linear scan unrolled: strict < keeps the
+           first of equally near breakpoints *)
+        let xs = Param.floats ps "xs" and ys = Param.floats ps "ys" in
+        let d = Var (g.name ^ "_d") in
+        let dist i = call "fabs" [ Bin ("-", flt xs.(i), in0 g) ] in
+        {
+          nothing with
+          step =
+            Decl (Double_t, g.name ^ "_d", Some (dist 0))
+            :: Assign (out0 g, flt ys.(0))
+            :: List.init
+                 (Array.length xs - 1)
+                 (fun i ->
+                   If
+                     ( Bin ("<", dist (i + 1), d),
+                       [ Assign (d, dist (i + 1)); Assign (out0 g, flt ys.(i + 1)) ],
+                       [] ));
+        } );
+    ( "Inport",
+      fun g ps ->
+        let idx = Param.int ps "index" in
+        { nothing with step = [ Assign (out0 g, g.ext_in idx) ] } );
+    ( "Outport",
+      fun g ps ->
+        let idx = Param.int ps "index" in
+        {
+          nothing with
+          step = [ Assign (g.ext_out idx, in0 g); Assign (out0 g, in0 g) ];
+        } );
+    ("Terminator", fun _ _ -> nothing);
+    ( "Merge2",
+      fun g _ ->
+        (* generated code keeps the latest writer's value; approximated by
+           preferring input 0 when it changed *)
+        {
+          nothing with
+          state_fields = [ (Double_t, "p0"); (Double_t, "p1"); (Double_t, "held") ];
+          init =
+            [
+              Assign (g.state "p0", flt 0.0);
+              Assign (g.state "p1", flt 0.0);
+              Assign (g.state "held", flt 0.0);
+            ];
+          step =
+            [
+              If
+                ( Bin ("!=", in0 g, g.state "p0"),
+                  [ Assign (g.state "held", in0 g) ],
+                  [
+                    If
+                      ( Bin ("!=", List.nth g.ins 1, g.state "p1"),
+                        [ Assign (g.state "held", List.nth g.ins 1) ],
+                        [] );
+                  ] );
+              Assign (g.state "p0", in0 g);
+              Assign (g.state "p1", List.nth g.ins 1);
+              Assign (out0 g, g.state "held");
+            ];
+        } );
+  ]
+
+(* ---- peripheral blocks ----
+
+   One emitter per peripheral behaviour. The AUTOSAR block set (§8)
+   renames the PE blocks ({!Autosar_blocks.twins}), so a twin shares
+   its PE kind's emitter; the two differ only in the driver API the
+   deployment build calls. *)
+
+type api = Bean_methods | Mcal
+
+(* The PIL build exchanges peripheral data through the comm buffers
+   instead of calling the driver (§6). *)
+let pil_buf name g = Index (Var name, Int_lit (pil_slot_exn g))
+
+(* A sensor reads its raw 16-bit value and casts it to the output's
+   container. *)
+let sensor g hw_read =
+  let prelude, raw =
+    match g.mode with
+    | Hw -> hw_read ()
+    | Pil -> ([], pil_buf "pil_sensor_buf" g)
+  in
+  let v = if oty0 g = U16 then raw else Cast_to (oty0 g, raw) in
+  { nothing with step = prelude @ [ Assign (out0 g, v) ] }
+
+(* An actuator clamps its input into the driver's code range (when it
+   has one), writes the code, and echoes the value the hardware
+   realises, as the simulation bean models it. *)
+let actuator g max_code hw_write echo =
+  let code, clamp =
+    match max_code with
+    | None -> (in0 g, [])
+    | Some hi ->
+        let r = Var (g.name ^ "_r") in
+        ( r,
+          Decl (I32, g.name ^ "_r", Some (Cast_to (I32, in0 g)))
+          :: clamp_stmts_int r 0 hi )
+  in
+  let write =
+    match g.mode with
+    | Hw -> hw_write code
+    | Pil ->
+        [
+          Comment "PIL: peripheral write redirected to the comm buffer";
+          Assign (pil_buf "pil_actuator_buf" g, Cast_to (U16, code));
+        ]
+  in
+  { nothing with step = clamp @ write @ echo code }
+
+let peripheral_emitters : (string * (api -> gctx -> Param.t -> gen)) list =
+  [
+    ("PE_TimerInt", fun _ _ _ -> nothing);
+    ("PE_Serial", fun _ _ _ -> nothing);
+    ( "PE_FreeCntr",
+      fun _ g ps ->
+        match g.mode with
+        | Hw ->
+            { nothing with
+              step = [ Assign (out0 g, call (bean_of ps ^ "_GetCounterValue") []) ] }
+        | Pil ->
+            (* no counter register off target: count model time in
+               ticks, wrapped to 16 bits, as the simulation bean does *)
+            {
+              nothing with
+              needs_time = true;
+              step =
+                [
+                  Assign
+                    ( out0 g,
+                      call "fmod"
+                        [
+                          call "floor" [ Bin ("/", time_var, flt (Param.float ps "tick")) ];
+                          flt 65536.0;
+                        ] );
+                ];
+            } );
+    ( "PE_Adc",
+      fun api g ps ->
+        let bean = bean_of ps and code = g.name ^ "_code" in
+        sensor g (fun () ->
+            match api with
+            | Bean_methods ->
+                ( [
+                    Decl (U16, code, None);
+                    Expr (call (bean ^ "_Measure") [ Int_lit 1 ]);
+                    Expr (call (bean ^ "_GetValue") [ Un ("&", Var code) ]);
+                  ],
+                  Var code )
+            | Mcal ->
+                let group = Var ("AdcGroup_" ^ bean) in
+                ( [
+                    Decl (Named "Adc_ValueGroupType", code, None);
+                    Expr (call "Adc_StartGroupConversion" [ group ]);
+                    Expr (call "Adc_ReadGroup" [ group; Un ("&", Var code) ]);
+                  ],
+                  Var code )) );
+    ( "PE_QuadDec",
+      fun api g ps ->
+        let bean = bean_of ps in
+        sensor g (fun () ->
+            ( [],
+              match api with
+              | Bean_methods -> call (bean ^ "_GetPosition") []
+              | Mcal -> call "Icu_GetEdgeNumbers" [ Var ("IcuChannel_" ^ bean) ] )) );
+    ( "PE_BitIO_In",
+      fun api g ps ->
+        let bean = bean_of ps in
+        sensor g (fun () ->
+            ( [],
+              match api with
+              | Bean_methods -> call (bean ^ "_GetVal") []
+              | Mcal ->
+                  Bin
+                    ( "==",
+                      call "Dio_ReadChannel" [ Var ("DioChannel_" ^ bean) ],
+                      Var "STD_HIGH" ) )) );
+    ( "PE_Pwm",
+      fun api g ps ->
+        let bean = bean_of ps in
+        let period_counts = Param.int ps "period_counts" in
+        let dc = g.name ^ "_dc" in
+        (* SetRatio16 semantics including the integer duty counter: the
+           realised duty is quantised by the PWM period register *)
+        actuator g (Some 65535)
+          (fun r ->
+            match api with
+            | Bean_methods ->
+                [ Expr (call (bean ^ "_SetRatio16") [ Cast_to (U16, r) ]) ]
+            | Mcal ->
+                [
+                  Comment "rescale ratio16 into the AUTOSAR 0x0000..0x8000 duty domain";
+                  Expr
+                    (call "Pwm_SetDutyCycle"
+                       [
+                         Var ("PwmChannel_" ^ bean);
+                         Cast_to
+                           ( U16,
+                             Bin (">>", Bin ("*", Cast_to (U32, r), Hex_lit 0x8000),
+                                  Int_lit 16) );
+                       ]);
+                ])
+          (fun r ->
+            [
+              Decl
+                ( I32, dc,
+                  Some (Bin ("/", Bin ("*", r, Int_lit period_counts), Int_lit 65535)) );
+              Assign
+                ( out0 g,
+                  Bin ("/", Cast_to (Double_t, Var dc), flt (float_of_int period_counts)) );
+            ]) );
+    ( "PE_Dac",
+      fun _ g ps ->
+        let vref = Param.float ps "vref" and max_code = Param.int ps "max_code" in
+        actuator g (Some max_code)
+          (fun r -> [ Expr (call (bean_of ps ^ "_SetValue") [ Cast_to (U16, r) ]) ])
+          (fun r ->
+            [
               Assign
                 ( out0 g,
                   Bin
                     ( "*",
-                      Bin ("/", Cast_to (Double_t, acc), flt coef_one),
-                      flt out_scale ) );
-            ];
-      }
-  | "RateLimiter" ->
-      let rising = pf "rising" and falling = pf "falling" in
-      {
-        nothing with
-        state_fields = [ (Double_t, "prev"); (U8, "started") ];
-        init =
-          [ Assign (g.state "prev", flt 0.0); Assign (g.state "started", Int_lit 0) ];
-        step =
-          [
-            Decl (Double_t, g.name ^ "_dy", Some (Bin ("-", in0 g, g.state "prev")));
-            If
-              ( Bin ("==", g.state "started", Int_lit 0),
+                      Bin ("/", Cast_to (Double_t, r), flt (float_of_int max_code)),
+                      flt vref ) );
+            ]) );
+    ( "PE_BitIO_Out",
+      fun api g ps ->
+        let bean = bean_of ps in
+        actuator g None
+          (fun v ->
+            match api with
+            | Bean_methods -> [ Expr (call (bean ^ "_PutVal") [ v ]) ]
+            | Mcal ->
                 [
-                  Assign (g.state "prev", in0 g);
-                  Assign (g.state "started", Int_lit 1);
-                ],
-                [
-                  If
-                    ( Bin (">", Var (g.name ^ "_dy"), flt (rising *. g.dt)),
-                      [ Assign (Var (g.name ^ "_dy"), flt (rising *. g.dt)) ],
-                      [] );
-                  If
-                    ( Bin ("<", Var (g.name ^ "_dy"), flt (-.falling *. g.dt)),
-                      [ Assign (Var (g.name ^ "_dy"), flt (-.falling *. g.dt)) ],
-                      [] );
-                  Assign
-                    (g.state "prev", Bin ("+", g.state "prev", Var (g.name ^ "_dy")));
-                ] );
-            Assign (out0 g, g.state "prev");
-          ];
-      }
-  | "MovingAverage" ->
-      let n = Param.int ps "n" in
-      {
-        nothing with
-        state_fields = [ (Arr (Double_t, n), "buf"); (U16, "idx"); (U16, "filled") ];
-        init =
-          [
-            Assign (g.state "idx", Int_lit 0);
-            Assign (g.state "filled", Int_lit 0);
-            For
-              ( Decl (I32, "i", Some (Int_lit 0)),
-                Bin ("<", Var "i", Int_lit n),
-                Expr (Un ("++", Var "i")),
-                [ Assign (Index (g.state "buf", Var "i"), flt 0.0) ] );
-          ];
-        step =
-          [
-            Assign (Index (g.state "buf", g.state "idx"), in0 g);
-            Assign
-              ( g.state "idx",
-                Cast_to
-                  (U16, Bin ("%", Bin ("+", g.state "idx", Int_lit 1), Int_lit n)) );
-            If
-              ( Bin ("<", g.state "filled", Int_lit n),
-                [ Assign (g.state "filled", Bin ("+", g.state "filled", Int_lit 1)) ],
-                [] );
-            Decl (Double_t, g.name ^ "_s", Some (flt 0.0));
-            For
-              ( Decl (I32, "i", Some (Int_lit 0)),
-                Bin ("<", Var "i", Int_lit n),
-                Expr (Un ("++", Var "i")),
-                [
-                  Assign
-                    ( Var (g.name ^ "_s"),
-                      Bin ("+", Var (g.name ^ "_s"), Index (g.state "buf", Var "i")) );
-                ] );
-            Assign
-              ( out0 g,
-                Bin ("/", Var (g.name ^ "_s"), Cast_to (Double_t, g.state "filled")) );
-          ];
-      }
-  | "EncoderSpeed" ->
-      let cpr = Param.int ps "counts_per_rev" in
-      let k = 2.0 *. Float.pi /. float_of_int cpr in
-      {
-        nothing with
-        state_fields = [ (I32, "prev") ];
-        init = [ Assign (g.state "prev", Int_lit 0) ];
-        step =
-          [
-            (* wrap-aware 16-bit difference works for both absolute and
-               wrapped position registers *)
-            Decl
-              ( I16, g.name ^ "_dc",
-                Some (Cast_to (I16, Bin ("-", in0 g, g.state "prev"))) );
-            (* ((double)dc * k) / dt, associated as the simulation does *)
-            Assign
-              ( out0 g,
-                Bin
-                  ( "/",
-                    Bin
-                      ("*", Cast_to (Double_t, Var (g.name ^ "_dc")), flt k),
-                    flt g.dt ) );
-            Assign (g.state "prev", Cast_to (I32, in0 g));
-          ];
-      }
-  | "Saturation" ->
-      {
-        nothing with
-        step =
-          (Assign (out0 g, in0 g) :: clamp_stmts (out0 g) (pf "lo") (pf "hi"));
-      }
-  | "Quantizer" ->
-      let q = pf "interval" in
-      {
-        nothing with
-        step =
-          [
-            Assign
-              ( out0 g,
-                Bin ("*", flt q, call "round" [ Bin ("/", in0 g, flt q) ]) );
-          ];
-      }
-  | "DeadZone" ->
-      let lo = pf "lo" and hi = pf "hi" in
-      {
-        nothing with
-        step =
-          [
-            Assign (out0 g, flt 0.0);
-            If
-              ( Bin (">", in0 g, flt hi),
-                [ Assign (out0 g, Bin ("-", in0 g, flt hi)) ],
-                [
-                  If
-                    ( Bin ("<", in0 g, flt lo),
-                      [ Assign (out0 g, Bin ("-", in0 g, flt lo)) ],
-                      [] );
-                ] );
-          ];
-      }
-  | "Relay" ->
-      {
-        nothing with
-        state_fields = [ (U8, "on") ];
-        init = [ Assign (g.state "on", Int_lit 0) ];
-        step =
-          [
-            If
-              ( Bin (">=", in0 g, flt (pf "on_point")),
-                [ Assign (g.state "on", Int_lit 1) ],
-                [
-                  If
-                    ( Bin ("<=", in0 g, flt (pf "off_point")),
-                      [ Assign (g.state "on", Int_lit 0) ],
-                      [] );
-                ] );
-            Assign
-              ( out0 g,
-                Ternary (g.state "on", flt (pf "on_value"), flt (pf "off_value")) );
-          ];
-      }
-  | "Switch" ->
-      {
-        nothing with
-        step =
-          [
-            Assign
-              ( out0 g,
-                Ternary
-                  ( Bin (">=", List.nth g.ins 1, flt (pf "threshold")),
-                    in0 g, List.nth g.ins 2 ) );
-          ];
-      }
-  | "CoulombFriction" ->
-      let level = pf "level" in
-      {
-        nothing with
-        step =
-          [
-            Assign
-              ( out0 g,
-                Bin
-                  ( "+",
-                    in0 g,
-                    Ternary
-                      ( Bin (">", in0 g, flt 0.0),
-                        flt level,
-                        Ternary (Bin ("<", in0 g, flt 0.0), flt (-.level), flt 0.0) ) ) );
-          ];
-      }
-  | "Lookup1D" ->
-      let xs = Param.floats ps "xs" and ys = Param.floats ps "ys" in
-      let n = Array.length xs in
-      let xs_tab = g.name ^ "_xs" and ys_tab = g.name ^ "_ys" in
-      {
-        nothing with
-        state_fields = [];
-        init = [];
-        step =
-          [
-            Comment (Printf.sprintf "piecewise-linear lookup, %d breakpoints" n);
-            Raw
-              (Printf.sprintf
-                 "{ static const double %s[%d] = {%s};\n\
-                 \  static const double %s[%d] = {%s};\n\
-                 \  double x = %s;\n\
-                 \  if (x <= %s[0]) { %s = %s[0]; }\n\
-                 \  else if (x >= %s[%d]) { %s = %s[%d]; }\n\
-                 \  else { int lo = 0, hi = %d;\n\
-                 \    while (hi - lo > 1) { int mid = (lo + hi) / 2;\n\
-                 \      if (%s[mid] <= x) lo = mid; else hi = mid; }\n\
-                 \    %s = %s[lo] + (%s[hi] - %s[lo]) * (x - %s[lo]) / (%s[hi] - %s[lo]); } }"
-                 xs_tab n
-                 (String.concat ", "
-                    (Array.to_list (Array.map (Printf.sprintf "%.17g") xs)))
-                 ys_tab n
-                 (String.concat ", "
-                    (Array.to_list (Array.map (Printf.sprintf "%.17g") ys)))
-                 (C_print.expr_to_string (in0 g))
-                 xs_tab
-                 (C_print.expr_to_string (out0 g))
-                 ys_tab xs_tab (n - 1)
-                 (C_print.expr_to_string (out0 g))
-                 ys_tab (n - 1) (n - 1) xs_tab
-                 (C_print.expr_to_string (out0 g))
-                 ys_tab ys_tab ys_tab xs_tab xs_tab xs_tab);
-          ];
-      }
-  | "Inport" ->
-      let idx = Param.int ps "index" in
-      { nothing with step = [ Assign (out0 g, g.ext_in idx) ] }
-  | "Outport" ->
-      let idx = Param.int ps "index" in
-      {
-        nothing with
-        step = [ Assign (g.ext_out idx, in0 g); Assign (out0 g, in0 g) ];
-      }
-  | "Terminator" -> nothing
-  | "Merge2" ->
-      (* generated code keeps the latest writer's value; approximated by
-         preferring input 0 when it changed *)
-      {
-        nothing with
-        state_fields = [ (Double_t, "p0"); (Double_t, "p1"); (Double_t, "held") ];
-        init =
-          [
-            Assign (g.state "p0", flt 0.0);
-            Assign (g.state "p1", flt 0.0);
-            Assign (g.state "held", flt 0.0);
-          ];
-        step =
-          [
-            If
-              ( Bin ("!=", in0 g, g.state "p0"),
-                [ Assign (g.state "held", in0 g) ],
-                [
-                  If
-                    ( Bin ("!=", List.nth g.ins 1, g.state "p1"),
-                      [ Assign (g.state "held", List.nth g.ins 1) ],
-                      [] );
-                ] );
-            Assign (g.state "p0", in0 g);
-            Assign (g.state "p1", List.nth g.ins 1);
-            Assign (out0 g, g.state "held");
-          ];
-      }
-  | "PE_TimerInt" | "PE_Serial" -> nothing
-  | "PE_Adc" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step =
-              [
-                Decl (U16, g.name ^ "_code", None);
-                Expr (call (bean ^ "_Measure") [ Int_lit 1 ]);
-                Expr (call (bean ^ "_GetValue") [ Un ("&", Var (g.name ^ "_code")) ]);
-                Assign (out0 g, Var (g.name ^ "_code"));
-              ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Comment "PIL: peripheral read redirected to the comm buffer";
-                Assign (out0 g, Index (Var "pil_sensor_buf", Int_lit (pil_slot_exn g)));
-              ];
-          })
-  | "PE_Pwm" -> (
-      let bean = bean_of ps in
-      let period_counts = Param.int ps "period_counts" in
-      (* SetRatio16 semantics including the integer duty counter: the
-         realised duty is quantised by the PWM period register, exactly
-         as the simulation bean models it *)
-      let r = Var (g.name ^ "_r") and dc = Var (g.name ^ "_dc") in
-      let echo write_stmts =
-        [ Decl (I32, g.name ^ "_r", Some (Cast_to (I32, in0 g))) ]
-        @ clamp_stmts_int r 0 65535
-        @ write_stmts
-        @ [
-            Decl
-              ( I32, g.name ^ "_dc",
-                Some
-                  (Bin
-                     ( "/",
-                       Bin ("*", r, Int_lit period_counts),
-                       Int_lit 65535 )) );
-            Assign
-              ( out0 g,
-                Bin
-                  ( "/",
-                    Cast_to (Double_t, dc),
-                    flt (float_of_int period_counts) ) );
-          ]
-      in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step = echo [ Expr (call (bean ^ "_SetRatio16") [ Cast_to (U16, r) ]) ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              echo
-                [
-                  Comment "PIL: peripheral write redirected to the comm buffer";
-                  Assign
-                    ( Index (Var "pil_actuator_buf", Int_lit (pil_slot_exn g)),
-                      Cast_to (U16, r) );
-                ];
-          })
-  | "PE_FreeCntr" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          { nothing with
-            step = [ Assign (out0 g, call (bean ^ "_GetCounterValue") []) ] }
-      | Pil ->
-          (* time stamps stay local in PIL: the counter still runs *)
-          { nothing with
-            step = [ Assign (out0 g, call (bean ^ "_GetCounterValue") []) ] })
-  | "PE_Dac" -> (
-      let bean = bean_of ps in
-      let vref = pf "vref" and max_code = Param.int ps "max_code" in
-      (* clamp the code into the converter's range before writing, as
-         the simulation bean does *)
-      let r = Var (g.name ^ "_r") in
-      let echo write_stmts =
-        [ Decl (I32, g.name ^ "_r", Some (Cast_to (I32, in0 g))) ]
-        @ clamp_stmts_int r 0 max_code
-        @ write_stmts
-        @ [
-            Assign
-              ( out0 g,
-                Bin
-                  ( "*",
-                    Bin
-                      ( "/",
-                        Cast_to (Double_t, r),
-                        flt (float_of_int max_code) ),
-                    flt vref ) );
-          ]
-      in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step = echo [ Expr (call (bean ^ "_SetValue") [ Cast_to (U16, r) ]) ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              echo
-                [
-                  Assign
-                    ( Index (Var "pil_actuator_buf", Int_lit (pil_slot_exn g)),
-                      Cast_to (U16, r) );
-                ];
-          })
-  | "PE_QuadDec" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step =
-              [ Assign (out0 g, Cast_to (I32, call (bean ^ "_GetPosition") [])) ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( out0 g,
-                    Cast_to
-                      (I32, Index (Var "pil_sensor_buf", Int_lit (pil_slot_exn g))) );
-              ];
-          })
-  | "PE_BitIO_Out" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step =
-              [
-                Expr (call (bean ^ "_PutVal") [ in0 g ]);
-                Assign (out0 g, in0 g);
-              ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( Index (Var "pil_actuator_buf", Int_lit (pil_slot_exn g)),
-                    Cast_to (U16, in0 g) );
-                Assign (out0 g, in0 g);
-              ];
-          })
-  | "PE_BitIO_In" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          { nothing with step = [ Assign (out0 g, call (bean ^ "_GetVal") []) ] }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( out0 g,
-                    Cast_to
-                      (U8, Index (Var "pil_sensor_buf", Int_lit (pil_slot_exn g))) );
-              ];
-          })
-  (* ---- AUTOSAR block-set variant (section 8): same behaviour, MCAL API ---- *)
-  | "AR_TimerInt" -> nothing
-  | "AR_Adc" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step =
-              [
-                Decl (Named "Adc_ValueGroupType", g.name ^ "_code", None);
-                Expr (call "Adc_StartGroupConversion" [ Var ("AdcGroup_" ^ bean) ]);
-                Expr
-                  (call "Adc_ReadGroup"
-                     [ Var ("AdcGroup_" ^ bean); Un ("&", Var (g.name ^ "_code")) ]);
-                Assign (out0 g, Var (g.name ^ "_code"));
-              ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Comment "PIL: peripheral read redirected to the comm buffer";
-                Assign (out0 g, Index (Var "pil_sensor_buf", Int_lit (pil_slot_exn g)));
-              ];
-          })
-  | "AR_Pwm" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step =
-              [
-                Comment "rescale ratio16 into the AUTOSAR 0x0000..0x8000 duty domain";
-                Expr
-                  (call "Pwm_SetDutyCycle"
-                     [
-                       Var ("PwmChannel_" ^ bean);
-                       Cast_to
-                         (U16,
-                          Bin (">>",
-                               Bin ("*", Cast_to (U32, in0 g), Hex_lit 0x8000),
-                               Int_lit 16));
-                     ]);
-                Assign (out0 g, Bin ("/", Cast_to (Double_t, in0 g), flt 65535.0));
-              ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( Index (Var "pil_actuator_buf", Int_lit (pil_slot_exn g)),
-                    Cast_to (U16, in0 g) );
-                Assign (out0 g, Bin ("/", Cast_to (Double_t, in0 g), flt 65535.0));
-              ];
-          })
-  | "AR_Dio_Out" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step =
-              [
-                Expr
-                  (call "Dio_WriteChannel"
-                     [
-                       Var ("DioChannel_" ^ bean);
-                       Ternary (in0 g, Var "STD_HIGH", Var "STD_LOW");
-                     ]);
-                Assign (out0 g, in0 g);
-              ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( Index (Var "pil_actuator_buf", Int_lit (pil_slot_exn g)),
-                    Cast_to (U16, in0 g) );
-                Assign (out0 g, in0 g);
-              ];
-          })
-  | "AR_Dio_In" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( out0 g,
-                    Bin ("==", call "Dio_ReadChannel" [ Var ("DioChannel_" ^ bean) ],
-                         Var "STD_HIGH") );
-              ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( out0 g,
-                    Cast_to (U8, Index (Var "pil_sensor_buf", Int_lit (pil_slot_exn g))) );
-              ];
-          })
-  | "AR_Icu" -> (
-      let bean = bean_of ps in
-      match g.mode with
-      | Hw ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( out0 g,
-                    Cast_to
-                      (I32, call "Icu_GetEdgeNumbers" [ Var ("IcuChannel_" ^ bean) ]) );
-              ];
-          }
-      | Pil ->
-          {
-            nothing with
-            step =
-              [
-                Assign
-                  ( out0 g,
-                    Cast_to
-                      (I32, Index (Var "pil_sensor_buf", Int_lit (pil_slot_exn g))) );
-              ];
-          })
-  | kind ->
-      raise
-        (Unsupported
-           (Printf.sprintf
-              "block kind %s has no embedded realisation (plant-side block?)" kind))
+                  Expr
+                    (call "Dio_WriteChannel"
+                       [ Var ("DioChannel_" ^ bean);
+                         Ternary (v, Var "STD_HIGH", Var "STD_LOW") ]);
+                ])
+          (* the latch holds the input's truth value *)
+          (fun v -> [ Assign (out0 g, Cast_to (U8, v)) ]) );
+  ]
+
+let emitters =
+  std_emitters
+  @ List.concat_map
+      (fun (pe, f) ->
+        (pe, f Bean_methods)
+        :: List.filter_map
+             (fun (ar, twin) -> if twin = pe then Some (ar, f Mcal) else None)
+             Autosar_blocks.twins)
+      peripheral_emitters
+
+let kinds = List.map fst emitters
+let emitter = Hashtbl.of_seq (List.to_seq emitters)
 
 (* MIL quantises every integer/Bool-typed block output through
    Value.of_float (round half away from zero, saturate); a plain C
@@ -1362,18 +1322,18 @@ let quantize_outputs g gen =
   }
 
 let emit g spec =
+  let kind = spec.Block.kind in
   let gen =
-    match Hashtbl.find_opt custom spec.Block.kind with
-    | Some f -> f g spec
-    | None -> emit_builtin g spec
+    match (Hashtbl.find_opt custom kind, Hashtbl.find_opt emitter kind) with
+    | Some f, _ -> f g spec
+    | None, Some f -> f g spec.Block.params
+    | None, None ->
+        raise
+          (Unsupported
+             (Printf.sprintf
+                "block kind %s has no embedded realisation (plant-side block?)" kind))
   in
   quantize_outputs g gen
 
 let supported spec =
-  if Hashtbl.mem custom spec.Block.kind then true
-  else
-    match spec.Block.kind with
-    | "Integrator" | "TransferFcn" | "StateSpace" | "FirstOrder" | "DcMotor"
-    | "PowerStage" | "EncoderCounts" | "ThermalPlant" ->
-        false
-    | _ -> true
+  Hashtbl.mem custom spec.Block.kind || Hashtbl.mem emitter spec.Block.kind

@@ -8,9 +8,12 @@
     statements; the {!Target} pipeline stitches them together following
     the compiled execution order.
 
-    Peripheral blocks emit in one of two modes: [Hw] calls the bean
-    methods of the HAL (deployment build), [Pil] redirects reads/writes
-    to the communication buffers as the PEERT_PIL target does (§6). *)
+    Peripheral blocks emit in one of two modes: [Hw] calls the HAL
+    driver (bean methods, or MCAL services for the AUTOSAR block set)
+    in the deployment build, [Pil] redirects reads/writes to the
+    communication buffers as the PEERT_PIL target does (§6). An
+    AUTOSAR kind shares its PE twin's emitter; only the driver calls
+    differ. *)
 
 type mode = Hw | Pil
 
@@ -56,8 +59,14 @@ val register : string -> (gctx -> Block.spec -> gen) -> unit
 
 val emit : gctx -> Block.spec -> gen
 
+val kinds : string list
+(** Every kind with a built-in emitter: the standard blocks and the
+    peripheral blocks of both block sets, each AUTOSAR kind sharing its
+    PE twin's emitter. *)
+
 val supported : Block.spec -> bool
-(** Whether the block kind has an embedded realisation. *)
+(** Whether the block kind has an embedded realisation: it is in
+    {!kinds} or has a registered emitter. *)
 
 val cast_helper_of_dtype : Dtype.t -> string option
 (** Name of the [pe_cast_*] helper that replicates [Value.of_float]

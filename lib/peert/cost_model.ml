@@ -14,7 +14,7 @@ let zero_mix =
 let mix_of_block spec dtype =
   ignore dtype;
   let m = zero_mix in
-  match spec.Block.kind with
+  match Autosar_blocks.pe_kind spec.Block.kind with
   | "Constant" | "Inport" | "Outport" | "ZOH" | "Terminator" | "PE_BitIO_Out"
   | "PE_BitIO_In" ->
       { m with memops = 2 }
@@ -51,11 +51,15 @@ let mix_of_block spec dtype =
   | "Relay" | "Switch" -> { m with compares = 1; memops = 4 }
   | "CoulombFriction" -> { m with compares = 1; adds = 1; muls = 1; memops = 2 }
   | "Backlash" -> { m with compares = 2; adds = 2; memops = 3 }
-  | "Lookup1D" | "Lookup1DNearest" ->
+  | "Lookup1D" ->
       let n = Array.length (Param.floats spec.Block.params "xs") in
       (* binary search + one interpolation *)
       let log2n = int_of_float (ceil (log (float_of_int n) /. log 2.0)) in
       { m with compares = log2n; adds = 2; muls = 1; divs = 1; memops = log2n + 4 }
+  | "Lookup1DNearest" ->
+      (* linear scan: one distance and one compare per breakpoint *)
+      let n = Array.length (Param.floats spec.Block.params "xs") in
+      { m with compares = n; adds = n; memops = n + 2 }
   | "Step" | "Ramp" | "Pulse" | "SetpointSchedule" | "Clock" ->
       { m with compares = 1; memops = 2 }
   | "Sine" -> { m with fn_evals = 1; muls = 2; adds = 2; memops = 2 }
@@ -96,7 +100,7 @@ let cycles_of_block mcu spec dtype =
   block_dispatch_overhead + cycles_of_mix mcu dtype (mix_of_block spec dtype)
 
 let stack_bytes_of_block spec =
-  match spec.Block.kind with
+  match Autosar_blocks.pe_kind spec.Block.kind with
   | "Pid" | "FixPid" | "DiscreteTransferFcn" -> 24
   | "Lookup1D" | "Lookup1DNearest" | "MovingAverage" -> 16
   | "MathFn" | "Sine" -> 32

@@ -143,8 +143,7 @@ let generate ?(opt = false) ~name ~project comp =
     if
       List.exists
         (fun b ->
-          let k = (Model.spec_of comp.Compile.model b).Block.kind in
-          String.length k >= 3 && String.sub k 0 3 = "AR_")
+          Autosar_blocks.is_autosar_kind (Model.spec_of comp.Compile.model b).Block.kind)
         (Model.blocks comp.Compile.model)
     then `Autosar
     else `Pe

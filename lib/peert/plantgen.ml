@@ -26,7 +26,59 @@ let load_torque_expr ps w =
           flt (Param.float ps "load_tau"), flt 0.0 )
   | Some _ -> flt 0.0 (* composite profiles have no C realisation *)
 
-let emit_builtin ~dt g spec =
+(* Classic RK4 over one [dt] step with the input held, unrolled over
+   the [n] states [x i]: stage s evaluates [deriv] at
+   x + (coef_s dt) k_(s-1), then x += dt/6 (k1 + 2 k2 + 2 k3 + k4).
+   A stage state is declared only when [deriv] reads it (the simulator
+   compiles with -Werror). *)
+let rk4 ~name ~dt ~n x deriv =
+  let coef = [| 0.0; 0.5; 0.5; 1.0 |] in
+  let stmts = ref [] in
+  let emit s = stmts := s :: !stmts in
+  let k = Array.make_matrix 4 n (flt 0.0) in
+  for s = 0 to 3 do
+    let declared = Hashtbl.create n in
+    let xs i =
+      if s = 0 then x i
+      else
+        match Hashtbl.find_opt declared i with
+        | Some v -> v
+        | None ->
+            let v = Printf.sprintf "%s_xs%d_%d" name s i in
+            emit
+              (Decl
+                 ( Double_t, v,
+                   Some (Bin ("+", x i, Bin ("*", flt (coef.(s) *. dt), k.(s - 1).(i))))
+                 ));
+            Hashtbl.replace declared i (Var v);
+            Var v
+    in
+    Array.iteri
+      (fun i e ->
+        let v = Printf.sprintf "%s_k%d_%d" name s i in
+        emit (Decl (Double_t, v, Some e));
+        k.(s).(i) <- Var v)
+      (deriv xs)
+  done;
+  List.rev !stmts
+  @ List.init n (fun i ->
+        Assign
+          ( x i,
+            Bin
+              ( "+",
+                x i,
+                Bin
+                  ( "*",
+                    flt (dt /. 6.0),
+                    Bin
+                      ( "+",
+                        Bin
+                          ( "+",
+                            Bin ("+", k.(0).(i), Bin ("*", flt 2.0, k.(1).(i))),
+                            Bin ("*", flt 2.0, k.(2).(i)) ),
+                        k.(3).(i) ) ) ) ))
+
+let emit ~dt g spec =
   let ps = spec.Block.params in
   let pf = Param.float ps in
   match spec.Block.kind with
@@ -66,7 +118,7 @@ let emit_builtin ~dt g spec =
         }
   | "TransferFcn" | "StateSpace" ->
       (* controllable-canonical / explicit state space under held-input
-         RK4; matrices baked as static tables via a Raw block *)
+         RK4, unrolled over the states with literal coefficients *)
       let n, a_flat, b_vec, c_vec, d =
         match spec.Block.kind with
         | "StateSpace" ->
@@ -96,13 +148,14 @@ let emit_builtin ~dt g spec =
             in
             (n, Array.concat (Array.to_list a), Array.init n (fun i -> if i = 0 then 1.0 else 0.0), c, d)
       in
-      let arr name values =
-        Printf.sprintf "static const double %s_%s[%d] = {%s};" g.Blockgen.name name
-          (Array.length values)
-          (String.concat ", "
-             (Array.to_list (Array.map (Printf.sprintf "%.17g") values)))
+      let x i = Index (g.Blockgen.state "x", Int_lit i) in
+      let u = Var (g.Blockgen.name ^ "_u") in
+      (* the sums accumulate left to right from the input term *)
+      let dot first coefs xs =
+        List.fold_left
+          (fun acc j -> Bin ("+", acc, Bin ("*", flt coefs.(j), xs j)))
+          first (List.init n Fun.id)
       in
-      let nm = g.Blockgen.name in
       Blockgen.
         {
           nothing with
@@ -115,106 +168,55 @@ let emit_builtin ~dt g spec =
                   Expr (Un ("++", Var "i")),
                   [ Assign (Index (g.Blockgen.state "x", Var "i"), flt 0.0) ] );
             ];
-          step =
-            [
-              (* tables first: step and update share one function body in
-                 the simulator target *)
-              Raw (arr "A" a_flat);
-              Raw (arr "B" b_vec);
-              Raw (arr "C" c_vec);
-              Decl (Double_t, nm ^ "_y", Some (Bin ("*", flt d, in0 g)));
-              For
-                ( Decl (I32, "i", Some (Int_lit 0)),
-                  Bin ("<", Var "i", Int_lit n),
-                  Expr (Un ("++", Var "i")),
-                  [
-                    Assign
-                      ( Var (nm ^ "_y"),
-                        Bin ("+", Var (nm ^ "_y"),
-                             Bin ("*", Index (Var (nm ^ "_C"), Var "i"),
-                                  Index (g.Blockgen.state "x", Var "i"))) );
-                  ] );
-              Assign (out0 g, Var (nm ^ "_y"));
-            ];
+          step = [ Assign (out0 g, dot (Bin ("*", flt d, in0 g)) c_vec x) ];
           update =
-            [
-              Comment
-                (Printf.sprintf
-                   "held-input RK4 over one %g s step (4 derivative evaluations)" dt);
-              Raw
-                (Printf.sprintf
-                   "{ double k1[%d], k2[%d], k3[%d], k4[%d], xs[%d]; int i, j, s;\n\
-                   \  double u = %s;\n\
-                   \  double *ks[4] = {k1, k2, k3, k4};\n\
-                   \  double coef[4] = {0.0, 0.5, 0.5, 1.0};\n\
-                   \  for (s = 0; s < 4; ++s) {\n\
-                   \    for (i = 0; i < %d; ++i) {\n\
-                   \      xs[i] = %s[i] + (s ? coef[s] * %g * ks[s-1][i] : 0.0);\n\
-                   \    }\n\
-                   \    for (i = 0; i < %d; ++i) {\n\
-                   \      double acc = %s_B[i] * u;\n\
-                   \      for (j = 0; j < %d; ++j) acc += %s_A[i * %d + j] * xs[j];\n\
-                   \      ks[s][i] = acc;\n\
-                   \    }\n\
-                   \  }\n\
-                   \  for (i = 0; i < %d; ++i)\n\
-                   \    %s[i] += %g / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]); }"
-                   n n n n n
-                   (C_print.expr_to_string (in0 g))
-                   n
-                   (C_print.expr_to_string (g.Blockgen.state "x"))
-                   dt n nm n nm n n
-                   (C_print.expr_to_string (g.Blockgen.state "x"))
-                   dt);
-            ];
+            Comment
+              (Printf.sprintf
+                 "held-input RK4 over one %g s step (4 derivative evaluations)" dt)
+            :: Decl (Double_t, g.Blockgen.name ^ "_u", Some (in0 g))
+            :: rk4 ~name:g.Blockgen.name ~dt ~n x (fun xs ->
+                   Array.init n (fun i ->
+                       dot (Bin ("*", flt b_vec.(i), u))
+                         (Array.sub a_flat (i * n) n) xs));
         }
   | "DcMotor" ->
       let nm = g.Blockgen.name in
-      let xi = Index (g.Blockgen.state "x", Int_lit 0) in
-      let xw = Index (g.Blockgen.state "x", Int_lit 1) in
-      let xt = Index (g.Blockgen.state "x", Int_lit 2) in
+      let x i = Index (g.Blockgen.state "x", Int_lit i) in
+      let u = Var (nm ^ "_u") and tau = Var (nm ^ "_tau") in
       Blockgen.
         {
           needs_time = true;
           state_fields = [ (Arr (Double_t, 3), "x") ];
-          init =
-            List.init 3 (fun i ->
-                Assign (Index (g.Blockgen.state "x", Int_lit i), flt 0.0));
+          init = List.init 3 (fun i -> Assign (x i, flt 0.0));
           step =
             [
-              Assign (out0 g, xw);
-              Assign (out_ g 1, xt);
-              Assign (out_ g 2, xi);
+              Assign (out0 g, x 1);
+              Assign (out_ g 1, x 2);
+              Assign (out_ g 2, x 0);
             ];
           update =
-            [
-              Comment "electro-mechanical DC motor, held-input RK4";
-              Decl (Double_t, nm ^ "_u", Some (in0 g));
-              Decl (Double_t, nm ^ "_tau", Some (load_torque_expr ps xw));
-              Raw
-                (Printf.sprintf
-                   "{ double x0[3] = {%s, %s, %s};\n\
-                   \  double k[4][3]; double xs[3]; int s, i;\n\
-                   \  double coef[4] = {0.0, 0.5, 0.5, 1.0};\n\
-                   \  for (s = 0; s < 4; ++s) {\n\
-                   \    for (i = 0; i < 3; ++i)\n\
-                   \      xs[i] = x0[i] + (s ? coef[s] * %g * k[s-1][i] : 0.0);\n\
-                   \    k[s][0] = (%s_u - %.17g * xs[0] - %.17g * xs[1]) / %.17g;\n\
-                   \    k[s][1] = (%.17g * xs[0] - %.17g * xs[1] - %s_tau) / %.17g;\n\
-                   \    k[s][2] = xs[1];\n\
-                   \  }\n\
-                   \  %s = x0[0] + %g / 6.0 * (k[0][0] + 2*k[1][0] + 2*k[2][0] + k[3][0]);\n\
-                   \  %s = x0[1] + %g / 6.0 * (k[0][1] + 2*k[1][1] + 2*k[2][1] + k[3][1]);\n\
-                   \  %s = x0[2] + %g / 6.0 * (k[0][2] + 2*k[1][2] + 2*k[2][2] + k[3][2]); }"
-                   (C_print.expr_to_string xi) (C_print.expr_to_string xw)
-                   (C_print.expr_to_string xt)
-                   dt
-                   nm (pf "ra") (pf "ke") (pf "la")
-                   (pf "kt") (pf "b") nm (pf "j")
-                   (C_print.expr_to_string xi) dt
-                   (C_print.expr_to_string xw) dt
-                   (C_print.expr_to_string xt) dt);
-            ];
+            Comment "electro-mechanical DC motor, held-input RK4"
+            :: Decl (Double_t, nm ^ "_u", Some (in0 g))
+            :: Decl (Double_t, nm ^ "_tau", Some (load_torque_expr ps (x 1)))
+            :: rk4 ~name:nm ~dt ~n:3 x (fun xs ->
+                   let i = xs 0 in
+                   let w = xs 1 in
+                   [|
+                     (* di/dt = (u - ra i - ke w) / la *)
+                     Bin
+                       ( "/",
+                         Bin ("-", Bin ("-", u, Bin ("*", flt (pf "ra"), i)),
+                              Bin ("*", flt (pf "ke"), w)),
+                         flt (pf "la") );
+                     (* dw/dt = (kt i - b w - tau) / j *)
+                     Bin
+                       ( "/",
+                         Bin ("-", Bin ("-", Bin ("*", flt (pf "kt"), i),
+                                        Bin ("*", flt (pf "b"), w)), tau),
+                         flt (pf "j") );
+                     (* dtheta/dt = w *)
+                     w;
+                   |]);
         }
   | "PowerStage" ->
       let supply = pf "u_supply" and r_on = pf "r_on" in
@@ -298,7 +300,6 @@ let emit_builtin ~dt g spec =
         }
   | _ -> Blockgen.emit g spec
 
-let emit ~dt g spec = emit_builtin ~dt g spec
 
 let supported_sim spec =
   match spec.Block.kind with

@@ -104,27 +104,23 @@ let fix_helpers =
          ]);
   ]
 
-let is_sensor_kind = function
-  | "PE_Adc" | "PE_QuadDec" | "PE_BitIO_In" | "AR_Adc" | "AR_Icu" | "AR_Dio_In" ->
-      true
+let is_sensor_kind kind =
+  match Autosar_blocks.pe_kind kind with
+  | "PE_Adc" | "PE_QuadDec" | "PE_BitIO_In" -> true
   | _ -> false
 
-let is_actuator_kind = function
-  | "PE_Pwm" | "PE_BitIO_Out" | "PE_Dac" | "AR_Pwm" | "AR_Dio_Out" -> true
+let is_actuator_kind kind =
+  match Autosar_blocks.pe_kind kind with
+  | "PE_Pwm" | "PE_BitIO_Out" | "PE_Dac" -> true
   | _ -> false
-
-let is_autosar_kind kind =
-  String.length kind >= 3 && String.sub kind 0 3 = "AR_"
 
 (* ISR entry point a bean event maps to: PE events are
    <bean>_<EventName>; the AUTOSAR variant uses driver notifications. *)
 let event_handler_name ~kind ~bean ~event =
-  if is_autosar_kind kind then
-    match kind with
-    | "AR_TimerInt" -> "Gpt_Notification_" ^ bean
-    | "AR_Adc" -> "Adc_Notification_" ^ bean
-    | _ -> bean ^ "_" ^ event
-  else bean ^ "_" ^ event
+  match kind with
+  | "AR_TimerInt" -> "Gpt_Notification_" ^ bean
+  | "AR_Adc" -> "Adc_Notification_" ^ bean
+  | _ -> bean ^ "_" ^ event
 
 (* codegen metrics: volume of generated output, across all targets *)
 let c_blocks_generated = Obs.counter "peert.blocks_generated"
@@ -334,7 +330,9 @@ let generate ?(mode = Blockgen.Hw) ?(opt = false) ~name ~project comp =
     }
   in
   let uses_autosar =
-    List.exists (fun b -> is_autosar_kind (Model.spec_of m b).Block.kind) all_blocks
+    List.exists
+      (fun b -> Autosar_blocks.is_autosar_kind (Model.spec_of m b).Block.kind)
+      all_blocks
   in
   (* PIL mode exchanges peripheral data through these buffers *)
   let pil_buffer_items =
@@ -464,7 +462,7 @@ let generate ?(mode = Blockgen.Hw) ?(opt = false) ~name ~project comp =
       (fun b ->
         let spec = Model.spec_of m b in
         if
-          (spec.Block.kind = "PE_TimerInt" || spec.Block.kind = "AR_TimerInt")
+          Autosar_blocks.pe_kind spec.Block.kind = "PE_TimerInt"
           && Model.event_target m (b, 0) = None
         then Some (spec.Block.kind, Param.string spec.Block.params "bean")
         else None)

@@ -8,7 +8,7 @@
    typed fast path. MIR is the only input: generated code lifts with no
    opaque node, and an opaque node (hand-written C outside the lifted
    subset) compiles to a closure that raises {!Silvm_interp.Unsupported}
-   when it runs — the interpreter's treatment of [Raw].
+   when it runs — where the interpreter would raise it too.
 
    Bit-exactness contract: for every program {!Silvm_interp} executes
    whose MIR lift has no opaque node, the compiled closures produce the
@@ -803,7 +803,7 @@ and compile_stmt g scope (s : Mir.stmt) : (st -> unit) option =
       Some (fun st -> raise (Creturn (Option.map (fun f -> f st) d)))
   | Mir.Sblock b -> Some (compile_stmts g scope b)
   | Mir.Sopaque _ ->
-      (* like the interpreter's [Raw]: fails when run, not when compiled *)
+      (* like the interpreter: fails when run, not when compiled *)
       let msg = "opaque statement: " ^ Mir_to_c.stmt_to_string s in
       Some (fun _ -> raise (Silvm_interp.Unsupported msg))
 

@@ -100,10 +100,10 @@ let inject sim apps schedule sensors =
     (fun (b, slot) ->
       let v = sensors.(slot) in
       let value =
-        match (Model.spec_of m b).Block.kind with
-        | "PE_Adc" | "AR_Adc" -> Value.of_int Dtype.Uint16 v
-        | "PE_QuadDec" | "AR_Icu" -> Value.of_int Dtype.Int32 v
-        | "PE_BitIO_In" | "AR_Dio_In" -> Value.of_bool (v <> 0)
+        match Autosar_blocks.pe_kind (Model.spec_of m b).Block.kind with
+        | "PE_Adc" -> Value.of_int Dtype.Uint16 v
+        | "PE_QuadDec" -> Value.of_int Dtype.Int32 v
+        | "PE_BitIO_In" -> Value.of_bool (v <> 0)
         | k -> failwith ("Silvm_diff: unexpected sensor block kind " ^ k)
       in
       Sim.override_output sim (b, 0) (Some value);

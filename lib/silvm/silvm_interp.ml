@@ -321,7 +321,6 @@ and exec t frame s =
       done
   | Return e -> raise (Return_value (Option.map (eval t frame) e))
   | Block body -> exec_list t frame body
-  | Raw s -> unsupported "raw statement: %s" s
 
 and exec_list t frame l = List.iter (exec t frame) l
 

@@ -81,13 +81,12 @@ let setpoint_schedule entries =
       Array.iteri (fun i ti -> if t >= ti then v := values.(i)) times;
       !v)
 
-(* SplitMix64, kept local for reproducibility independent of Stdlib.Random. *)
-let splitmix_next state =
-  state := Int64.add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
+(* xorshift32, the generator the embedded realisation runs (Blockgen's
+   UniformNoise emitter), so generated code draws the same samples. *)
+let xorshift32 s =
+  let s = s lxor ((s lsl 13) land 0xFFFFFFFF) in
+  let s = s lxor (s lsr 17) in
+  s lxor ((s lsl 5) land 0xFFFFFFFF)
 
 let uniform_noise ?(seed = 42) ?(lo = -1.0) ?(hi = 1.0) () =
   {
@@ -106,12 +105,12 @@ let uniform_noise ?(seed = 42) ?(lo = -1.0) ?(hi = 1.0) () =
     event_outs = [||];
     make =
       (fun _ctx ->
-        let state = ref (Int64.of_int seed) in
+        let seed = seed land 0xFFFFFFF in
+        let state = ref seed in
         let current = ref 0.0 in
         let draw () =
-          let bits = Int64.shift_right_logical (splitmix_next state) 11 in
-          let u = Int64.to_float bits /. 9007199254740992.0 in
-          lo +. (u *. (hi -. lo))
+          state := xorshift32 !state;
+          lo +. (float_of_int !state /. 4294967296.0 *. (hi -. lo))
         in
         {
           Block.no_beh_state with
@@ -121,7 +120,7 @@ let uniform_noise ?(seed = 42) ?(lo = -1.0) ?(hi = 1.0) () =
               [| dv !current |]);
           reset =
             (fun () ->
-              state := Int64.of_int seed;
+              state := seed;
               current := 0.0);
         });
   }

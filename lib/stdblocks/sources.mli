@@ -20,9 +20,9 @@ val setpoint_schedule : (float * float) list -> Block.spec
     pairs sorted by time; the case-study "keyboard" set-point source. *)
 
 val uniform_noise : ?seed:int -> ?lo:float -> ?hi:float -> unit -> Block.spec
-(** Deterministic uniform noise in [lo, hi) (default [-1, 1)) from a
-    64-bit SplitMix generator, reproducible across runs for a given
-    [seed]. *)
+(** Deterministic uniform noise in [lo, hi) (default [-1, 1)) from the
+    xorshift32 generator the generated code runs, seeded with the low
+    28 bits of [seed], reproducible across runs. *)
 
 val clock : Block.spec
 (** Emits the current simulation time. *)

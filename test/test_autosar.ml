@@ -1,5 +1,7 @@
 (* The AUTOSAR block-set variant (§8): functionally identical blocks,
-   MCAL-style generated API. *)
+   MCAL-style generated API. Each AUTOSAR kind shares its PE twin's
+   emitter, so only the driver calls differ; the MIL/SIL lock-step of
+   the AUTOSAR servo is in test_lockstep.ml. *)
 
 let check_bool = Alcotest.(check bool)
 let contains = Astring_contains.contains
