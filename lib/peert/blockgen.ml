@@ -285,7 +285,7 @@ let std_emitters : (string * (gctx -> Param.t -> gen)) list =
         {
           nothing with
           state_fields = [ (U32, "seed") ];
-          init = [ Assign (g.state "seed", Hex_lit (Param.int ps "seed" land 0xFFFFFFF)) ];
+          init = [ Assign (g.state "seed", Hex_lit (Param.int ps "seed")) ];
           step =
             [
               Assign
@@ -1099,19 +1099,10 @@ let sensor g hw_read =
   let v = if oty0 g = U16 then raw else Cast_to (oty0 g, raw) in
   { nothing with step = prelude @ [ Assign (out0 g, v) ] }
 
-(* An actuator clamps its input into the driver's code range (when it
-   has one), writes the code, and echoes the value the hardware
-   realises, as the simulation bean models it. *)
-let actuator g max_code hw_write echo =
-  let code, clamp =
-    match max_code with
-    | None -> (in0 g, [])
-    | Some hi ->
-        let r = Var (g.name ^ "_r") in
-        ( r,
-          Decl (I32, g.name ^ "_r", Some (Cast_to (I32, in0 g)))
-          :: clamp_stmts_int r 0 hi )
-  in
+(* An actuator turns its input into the code the driver takes, writes
+   the code, and echoes the value the hardware realises, as the
+   simulation bean models it. *)
+let actuator g (code, to_code) hw_write echo =
   let write =
     match g.mode with
     | Hw -> hw_write code
@@ -1121,7 +1112,18 @@ let actuator g max_code hw_write echo =
           Assign (pil_buf "pil_actuator_buf" g, Cast_to (U16, code));
         ]
   in
-  { nothing with step = clamp @ write @ echo code }
+  { nothing with step = to_code @ write @ echo code }
+
+(* the input clamped into a converter's code range [0, hi] *)
+let clamped g hi =
+  let r = g.name ^ "_r" in
+  (Var r, Decl (I32, r, Some (Cast_to (I32, in0 g))) :: clamp_stmts_int (Var r) 0 hi)
+
+(* the input's truth value, what a digital pin latches *)
+let truth g =
+  let b = g.name ^ "_b" in
+  ( Var b,
+    [ Decl (U8, b, Some (Ternary (Bin ("!=", in0 g, flt 0.0), Int_lit 1, Int_lit 0))) ] )
 
 let peripheral_emitters : (string * (api -> gctx -> Param.t -> gen)) list =
   [
@@ -1129,27 +1131,9 @@ let peripheral_emitters : (string * (api -> gctx -> Param.t -> gen)) list =
     ("PE_Serial", fun _ _ _ -> nothing);
     ( "PE_FreeCntr",
       fun _ g ps ->
-        match g.mode with
-        | Hw ->
-            { nothing with
-              step = [ Assign (out0 g, call (bean_of ps ^ "_GetCounterValue") []) ] }
-        | Pil ->
-            (* no counter register off target: count model time in
-               ticks, wrapped to 16 bits, as the simulation bean does *)
-            {
-              nothing with
-              needs_time = true;
-              step =
-                [
-                  Assign
-                    ( out0 g,
-                      call "fmod"
-                        [
-                          call "floor" [ Bin ("/", time_var, flt (Param.float ps "tick")) ];
-                          flt 65536.0;
-                        ] );
-                ];
-            } );
+        (* time stamps stay local in PIL: the counter still runs *)
+        { nothing with
+          step = [ Assign (out0 g, call (bean_of ps ^ "_GetCounterValue") []) ] } );
     ( "PE_Adc",
       fun api g ps ->
         let bean = bean_of ps and code = g.name ^ "_code" in
@@ -1197,7 +1181,7 @@ let peripheral_emitters : (string * (api -> gctx -> Param.t -> gen)) list =
         let dc = g.name ^ "_dc" in
         (* SetRatio16 semantics including the integer duty counter: the
            realised duty is quantised by the PWM period register *)
-        actuator g (Some 65535)
+        actuator g (clamped g 65535)
           (fun r ->
             match api with
             | Bean_methods ->
@@ -1227,7 +1211,7 @@ let peripheral_emitters : (string * (api -> gctx -> Param.t -> gen)) list =
     ( "PE_Dac",
       fun _ g ps ->
         let vref = Param.float ps "vref" and max_code = Param.int ps "max_code" in
-        actuator g (Some max_code)
+        actuator g (clamped g max_code)
           (fun r -> [ Expr (call (bean_of ps ^ "_SetValue") [ Cast_to (U16, r) ]) ])
           (fun r ->
             [
@@ -1241,7 +1225,7 @@ let peripheral_emitters : (string * (api -> gctx -> Param.t -> gen)) list =
     ( "PE_BitIO_Out",
       fun api g ps ->
         let bean = bean_of ps in
-        actuator g None
+        actuator g (truth g)
           (fun v ->
             match api with
             | Bean_methods -> [ Expr (call (bean ^ "_PutVal") [ v ]) ]
@@ -1252,8 +1236,8 @@ let peripheral_emitters : (string * (api -> gctx -> Param.t -> gen)) list =
                        [ Var ("DioChannel_" ^ bean);
                          Ternary (v, Var "STD_HIGH", Var "STD_LOW") ]);
                 ])
-          (* the latch holds the input's truth value *)
-          (fun v -> [ Assign (out0 g, Cast_to (U8, v)) ]) );
+          (* the latch holds the truth value written *)
+          (fun v -> [ Assign (out0 g, v) ]) );
   ]
 
 let emitters =

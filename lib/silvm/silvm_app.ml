@@ -99,10 +99,32 @@ let create ?(mode = Blockgen.Pil) ?(opt = false) ?(engine = `Compiled) ~name
           { code; st = Silvm_compile.instantiate code; readers = Hashtbl.create 32 }
   in
   let m = comp.Compile.model in
-  let app =
+  let app0 =
     { backend; name; comp; arts; events = []; steps = 0; time = 0.0 }
   in
-  (* free-running counter beans read the clock through an external *)
+  (* bean events wired to function-call groups: the generated ISR body
+     is a call to the group function *)
+  let events =
+    List.concat_map
+      (fun b ->
+        let spec = Model.spec_of m b in
+        List.init (Array.length spec.Block.event_outs) (fun i -> i)
+        |> List.filter_map (fun i ->
+               match Model.event_target m (b, i) with
+               | Some g ->
+                   let fn =
+                     Printf.sprintf "%s_%s" name
+                       (Blockgen.sanitize (Model.group_name m g))
+                   in
+                   if has_func app0 fn then
+                     Option.map (fun d -> (d, fn)) (divisor comp b)
+                   else None
+               | None -> None))
+      (Model.blocks m)
+  in
+  let app = { app0 with events } in
+  (* free-running counter beans read the clock through an external; it
+     closes over the record [step] advances *)
   List.iter
     (fun b ->
       let spec = Model.spec_of m b in
@@ -121,27 +143,7 @@ let create ?(mode = Blockgen.Pil) ?(opt = false) ?(engine = `Compiled) ~name
                   count)
         | _ -> ())
     (Model.blocks m);
-  (* bean events wired to function-call groups: the generated ISR body
-     is a call to the group function *)
-  let events =
-    List.concat_map
-      (fun b ->
-        let spec = Model.spec_of m b in
-        List.init (Array.length spec.Block.event_outs) (fun i -> i)
-        |> List.filter_map (fun i ->
-               match Model.event_target m (b, i) with
-               | Some g ->
-                   let fn =
-                     Printf.sprintf "%s_%s" name
-                       (Blockgen.sanitize (Model.group_name m g))
-                   in
-                   if has_func app fn then
-                     Option.map (fun d -> (d, fn)) (divisor comp b)
-                   else None
-               | None -> None))
-      (Model.blocks m)
-  in
-  { app with events }
+  app
 
 let initialize app =
   app.steps <- 0;

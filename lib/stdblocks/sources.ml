@@ -89,6 +89,9 @@ let xorshift32 s =
   s lxor ((s lsl 5) land 0xFFFFFFFF)
 
 let uniform_noise ?(seed = 42) ?(lo = -1.0) ?(hi = 1.0) () =
+  (* the generator's state is 28 bits of the seed; xorshift32 never
+     leaves state 0, so a zero state starts from a fixed non-zero one *)
+  let seed = match seed land 0xFFFFFFF with 0 -> 0x2545F49 | s -> s in
   {
     Block.kind = "UniformNoise";
     params =
@@ -105,7 +108,6 @@ let uniform_noise ?(seed = 42) ?(lo = -1.0) ?(hi = 1.0) () =
     event_outs = [||];
     make =
       (fun _ctx ->
-        let seed = seed land 0xFFFFFFF in
         let state = ref seed in
         let current = ref 0.0 in
         let draw () =

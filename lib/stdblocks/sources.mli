@@ -22,7 +22,9 @@ val setpoint_schedule : (float * float) list -> Block.spec
 val uniform_noise : ?seed:int -> ?lo:float -> ?hi:float -> unit -> Block.spec
 (** Deterministic uniform noise in [lo, hi) (default [-1, 1)) from the
     xorshift32 generator the generated code runs, seeded with the low
-    28 bits of [seed], reproducible across runs. *)
+    28 bits of [seed] (0x2545F49 when those are all zero, since
+    xorshift32 never leaves state 0), reproducible across runs. The
+    block's ["seed"] parameter holds that state. *)
 
 val clock : Block.spec
 (** Emits the current simulation time. *)

@@ -44,7 +44,11 @@ let std_cases =
         around (Sources.setpoint_schedule [ (0.0, 1.0); (0.5, 2.0); (1.2, -1.0) ]) );
     ("Clock", fun () -> around Sources.clock);
     ( "UniformNoise",
-      fun () -> around (Sources.uniform_noise ~seed:7 ~lo:(-2.0) ~hi:3.0 ()) );
+      fun () ->
+        let c = around (Sources.uniform_noise ~seed:7 ~lo:(-2.0) ~hi:3.0 ()) in
+        (* a seed whose low 28 bits are zero starts from the fixed state *)
+        ignore (Model.add c.model ~name:"dut0" (Sources.uniform_noise ~seed:0 ()));
+        c );
     ("Gain", fun () -> around ~srcs:[ sine ] (Math_blocks.gain 1.7));
     ("Sum", fun () -> around ~srcs:[ sine; ramp ] (Math_blocks.sum "+-"));
     ("Product", fun () -> around ~srcs:[ sine; ramp ] (Math_blocks.product 2));
@@ -225,6 +229,36 @@ let test_covers_blockgen () =
     "one battery case per built-in emitter" (sorted Blockgen.kinds)
     (sorted (List.map fst (std_cases @ periph_cases)))
 
+(* lock-step compares block outputs: also hold what a digital output
+   writes to the PIL buffer to the value its latch echoes, for inputs
+   that are fractional and negative *)
+let test_dio_out_write make engine () =
+  let c = dio_out make () in
+  let app =
+    Silvm_app.create ~engine ~name:"lk" ~project:c.project
+      (Compile.compile ~default_dt:0.01 c.model)
+  in
+  Silvm_app.initialize app;
+  let dut = Model.find c.model "dut" in
+  for k = 0 to steps - 1 do
+    Silvm_app.step app;
+    Alcotest.(check int)
+      (Printf.sprintf "step %d" k)
+      (Silvm_value.to_int (Silvm_app.signal app (dut, 0)))
+      (Silvm_app.actuator app 0)
+  done
+
+(* xorshift32 never leaves state 0: a zero seed must still give noise *)
+let test_noise_seed0 () =
+  let m = Model.create "noise0" in
+  ignore (Model.add m ~name:"n" (Sources.uniform_noise ~seed:0 ()));
+  let sim = Sim.create (Compile.compile ~default_dt:0.01 m) in
+  Sim.probe_named sim "n" 0;
+  Sim.run sim ~until:0.5 ();
+  let samples = List.map snd (Sim.trace_named sim "n" 0) in
+  Alcotest.(check bool) "not constant" true
+    (List.exists (fun x -> x <> List.hd samples) samples)
+
 (* ---- the servo in both block sets, float and fixed, opt off and on ---- *)
 
 let servo_case block_set variant opt () =
@@ -253,4 +287,15 @@ let servo_matrix =
 let suite =
   Alcotest.test_case "battery covers Blockgen.kinds" `Quick test_covers_blockgen
   :: List.map test_case (std_cases @ periph_cases @ custom_cases)
-  @ servo_matrix
+  @ List.concat_map
+      (fun (set_name, make) ->
+        List.map
+          (fun (e_name, engine) ->
+            Alcotest.test_case
+              (Printf.sprintf "%s writes its latch (%s)" set_name e_name)
+              `Quick
+              (test_dio_out_write make engine))
+          [ ("interp", `Interp); ("compiled", `Compiled) ])
+      [ ("PE_BitIO_Out", Periph_blocks.bit_io_out); ("AR_Dio_Out", Autosar_blocks.dio_out) ]
+  @ Alcotest.test_case "UniformNoise seed 0 draws noise" `Quick test_noise_seed0
+    :: servo_matrix
