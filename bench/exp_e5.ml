@@ -4,23 +4,19 @@
 
 let cfg = { Servo_system.default_config with Servo_system.control_period = 5e-3 }
 
-let run_pil ?(baud = 115200) ?(periods = 320) () =
+let run_pil ?(baud = 115200) ?(periods = 320) ?error_rate () =
   let built = Servo_system.build ~config:cfg () in
-  let comp = Compile.compile built.Servo_system.controller in
-  let arts = Pil_target.generate ~name:"servo" ~project:built.Servo_system.project comp in
-  let controller = Sim.create comp in
   let plant = Servo_system.pil_plant built in
   let driver = Servo_system.pil_driver built in
   ( built,
-    arts,
-    Pil_cosim.run ~baud ~mcu:cfg.Servo_system.mcu ~schedule:arts.Target.schedule
-      ~controller ~plant ~driver ~periods () )
+    Pil_cosim.run ~baud ?error_rate ~mcu:cfg.Servo_system.mcu
+      ~app:(Servo_system.pil_app built) ~plant ~driver ~periods () )
 
 let run () =
   print_endline "==================================================================";
   print_endline "E5 (Fig 6.2): PIL co-simulation over RS-232";
   print_endline "==================================================================";
-  let built, _arts, r = run_pil () in
+  let built, r = run_pil () in
   let p = r.Pil_cosim.profile in
   let t =
     Table.create
@@ -82,7 +78,7 @@ let run () =
   List.iter
     (fun baud ->
       match run_pil ~baud ~periods:120 () with
-      | _, _, r ->
+      | _, r ->
           let p = r.Pil_cosim.profile in
           Table.add_row t
             [
@@ -105,10 +101,7 @@ let run () =
   List.iter
     (fun baud ->
       let schedule =
-        (let built = Servo_system.build ~config:cfg () in
-         let comp = Compile.compile built.Servo_system.controller in
-         (Pil_target.generate ~name:"servo" ~project:built.Servo_system.project comp)
-           .Target.schedule)
+        Silvm_app.schedule (Servo_system.pil_app (Servo_system.build ~config:cfg ()))
       in
       let bytes = Pil_cosim.wire_bytes_per_period ~schedule in
       let min_period = float_of_int bytes *. 10.0 /. float_of_int baud /. 0.95 in
@@ -118,17 +111,7 @@ let run () =
   Table.print t;
 
   (* line-noise robustness: CRC catches corruption, the loop survives *)
-  let built2 = Servo_system.build ~config:cfg () in
-  let comp2 = Compile.compile built2.Servo_system.controller in
-  let arts2 = Pil_target.generate ~name:"servo" ~project:built2.Servo_system.project comp2 in
-  let controller2 = Sim.create comp2 in
-  let plant2 = Servo_system.pil_plant built2 in
-  let driver2 = Servo_system.pil_driver built2 in
-  let rn =
-    Pil_cosim.run ~error_rate:0.005 ~mcu:cfg.Servo_system.mcu
-      ~schedule:arts2.Target.schedule ~controller:controller2 ~plant:plant2
-      ~driver:driver2 ~periods:320 ()
-  in
+  let _, rn = run_pil ~error_rate:0.005 () in
   let pn = rn.Pil_cosim.profile in
   Printf.printf
     "with 0.5 %% per-byte line corruption: %d CRC drops, %d overrun periods, final speed %.1f rad/s\n\n"
@@ -137,22 +120,18 @@ let run () =
     | (_, w) :: _ -> w
     | [] -> nan);
 
-  (* the next phase of the V cycle: HIL, no communication redirection *)
+  (* the next phase of the V cycle: HIL, no communication in the path *)
   print_endline "--- E5b: hardware-in-the-loop stage (the step after PIL, section 6) ---";
-  let hb = Servo_system.build () in
-  let hcomp = Compile.compile hb.Servo_system.controller in
-  let harts = Target.generate ~name:"servo" ~project:hb.Servo_system.project hcomp in
-  let hctl = Sim.create hcomp in
   let hr =
     Hil_cosim.servo_run ~built_mcu:Servo_system.default_config.Servo_system.mcu
-      ~schedule:harts.Target.schedule ~controller:hctl
+      ~app:(Servo_system.pil_app (Servo_system.build ()))
       ~motor:Servo_system.default_config.Servo_system.motor
       ~load:Servo_system.default_config.Servo_system.load
       ~encoder:(Encoder.create ())
       ~periods:1100 ()
   in
   let hp = hr.Hil_cosim.profile in
-  let t = Table.create ~title:"HIL profile: deployment build, real peripherals, 1 kHz"
+  let t = Table.create ~title:"HIL profile: generated application, real peripherals, 1 kHz"
       [ "quantity"; "PIL (5 ms)"; "HIL (1 ms)" ] in
   Table.add_rows t
     [

@@ -65,16 +65,14 @@ let bench_pid_fixed =
 let bench_pil =
   let cfg = { Servo_system.default_config with Servo_system.control_period = 5e-3 } in
   let built = Servo_system.build ~config:cfg () in
-  let comp = Compile.compile built.Servo_system.controller in
-  let arts = Pil_target.generate ~name:"servo" ~project:built.Servo_system.project comp in
+  let app = Servo_system.pil_app built in
   Test.make ~name:"P6 PIL co-simulation (100 control periods)"
     (Staged.stage (fun () ->
-         let controller = Sim.create comp in
          let plant = Servo_system.pil_plant built in
          let driver = Servo_system.pil_driver built in
          ignore
-           (Pil_cosim.run ~mcu:cfg.Servo_system.mcu ~schedule:arts.Target.schedule
-              ~controller ~plant ~driver ~periods:100 ())))
+           (Pil_cosim.run ~mcu:cfg.Servo_system.mcu ~app ~plant ~driver
+              ~periods:100 ())))
 
 (* P8: the whole static-analysis pipeline (model lint, interval
    fixpoint, concurrency, MISRA over the generated units) on the servo
@@ -167,17 +165,12 @@ let bench_json () =
   in
   let built_pil = Servo_system.build ~config:cfg () in
   let comp_pil = Compile.compile built_pil.Servo_system.controller in
-  let arts =
-    Pil_target.generate ~name:"servo" ~project:built_pil.Servo_system.project
-      comp_pil
-  in
-  let controller = Sim.create comp_pil in
   let plant = Servo_system.pil_plant built_pil in
   let driver = Servo_system.pil_driver built_pil in
   let periods = if quick () then 60 else 320 in
   ignore
-    (Pil_cosim.run ~mcu:cfg.Servo_system.mcu ~schedule:arts.Target.schedule
-       ~controller ~plant ~driver ~periods ());
+    (Pil_cosim.run ~mcu:cfg.Servo_system.mcu ~app:(Servo_system.pil_app built_pil)
+       ~plant ~driver ~periods ());
   (* static analysis throughput; the analysis.check spans and the
      models-checked counter ride into the snapshot below *)
   let checks = if quick () then 3 else 10 in

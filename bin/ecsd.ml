@@ -309,16 +309,11 @@ let pil mcu period fixed baud periods trace metrics =
   with_obs trace metrics @@ fun () ->
   let cfg = config mcu period fixed in
   let built = build_or_fail cfg in
-  let comp = Compile.compile built.Servo_system.controller in
-  let arts =
-    Pil_target.generate ~name:"servo" ~project:built.Servo_system.project comp
-  in
-  let controller = Sim.create comp in
   let plant = Servo_system.pil_plant built in
   let driver = Servo_system.pil_driver built in
   match
-    Pil_cosim.run ~baud ~mcu:cfg.Servo_system.mcu ~schedule:arts.Target.schedule
-      ~controller ~plant ~driver ~periods ()
+    Pil_cosim.run ~baud ~mcu:cfg.Servo_system.mcu ~app:(Servo_system.pil_app built)
+      ~plant ~driver ~periods ()
   with
   | exception Invalid_argument msg -> die "PIL infeasible: %s" msg
   | r ->

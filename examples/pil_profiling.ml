@@ -12,16 +12,11 @@ let cfg = { Servo_system.default_config with Servo_system.control_period = 5e-3 
 
 let run_once baud =
   let built = Servo_system.build ~config:cfg () in
-  let comp = Compile.compile built.Servo_system.controller in
-  let arts =
-    Pil_target.generate ~name:"servo" ~project:built.Servo_system.project comp
-  in
-  let controller = Sim.create comp in
   let plant = Servo_system.pil_plant built in
   let driver = Servo_system.pil_driver built in
   ( built,
-    Pil_cosim.run ~baud ~mcu:cfg.Servo_system.mcu ~schedule:arts.Target.schedule
-      ~controller ~plant ~driver ~periods:320 () )
+    Pil_cosim.run ~baud ~mcu:cfg.Servo_system.mcu ~app:(Servo_system.pil_app built)
+      ~plant ~driver ~periods:320 () )
 
 let () =
   print_endline "=== PIL co-simulation at 115200 baud, 5 ms control period ===";

@@ -359,6 +359,10 @@ let mil_speed_at built ~t_end =
 
 (* ---------- PIL side ---------- *)
 
+let pil_app built =
+  Silvm_app.create ~name:"servo" ~project:built.project
+    (Compile.compile built.controller)
+
 type pil_plant = {
   cfg : config;
   stage : Power_stage.t;

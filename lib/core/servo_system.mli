@@ -98,6 +98,10 @@ val mil_run :
 val mil_speed_at : built -> t_end:float -> float
 (** Final speed of a MIL run (convergence checks). *)
 
+val pil_app : built -> Silvm_app.t
+(** The controller's PIL build loaded into the SIL virtual machine: the
+    application {!Pil_cosim} and {!Hil_cosim} run on the virtual MCU. *)
+
 (** The PIL-side physical plant: motor + power stage + encoder register,
     advanced by the host between packet exchanges. *)
 type pil_plant

@@ -344,7 +344,6 @@ let trace t (b, p) =
   | None -> raise Not_found
 
 let trace_named t name p = trace t (Model.find t.comp.Compile.model name, p)
-let fire_group t g = exec_group t g
 
 let override_output t (b, p) v =
   t.overrides.(bi b).(p) <- v;

@@ -47,14 +47,11 @@ val trace : t -> Model.blk * int -> (float * float) list
 
 val trace_named : t -> string -> int -> (float * float) list
 
-val fire_group : t -> Model.group -> unit
-(** Manually fire a function-call group (used by test harnesses and the
-    PIL target executive). *)
-
 val override_output : t -> Model.blk * int -> Value.t option -> unit
-(** Force an output port to a fixed value (or release it with [None]) —
-    the mechanism the PIL harness uses to redirect peripheral blocks to
-    communication buffers, as PEERT_PIL does in §6. *)
+(** Force an output port to a fixed value (or release it with [None]).
+    The MIL side of {!Silvm_diff} drives the sensor blocks with it, so
+    the model sees the raw words the generated code reads from its PIL
+    exchange buffer; PIL and HIL run that generated code itself. *)
 
 val set_fault_hook :
   t -> (time:float -> Model.blk * int -> Value.t -> Value.t) option -> unit

@@ -16,22 +16,20 @@ type profile = {
   watchdog_bites : int;
 }
 
-type 'p result = {
+type result = {
   profile : profile;
   trace : (float * (string * float) list) list;
 }
-
-let is_kind k b m = (Model.spec_of m b).Block.kind = k
 
 (* plant/peripheral coupling sub-steps per control period *)
 let substeps = 16
 
 let run ?(preemptive = false) ?(button = fun _ -> false) ?(background_load = 0.0)
-    ?watchdog ?(overrun_inject = fun _ -> 0) ~mcu ~schedule ~controller ~plant
-    ~advance ~angle_of ~observe ~encoder ~periods () =
+    ?watchdog ?(overrun_inject = fun _ -> 0) ~mcu ~app ~plant ~advance ~angle_of
+    ~observe ~encoder ~periods () =
   Obs.span "hil.run" @@ fun () ->
-  let comp = Sim.compiled controller in
-  let m = comp.Compile.model in
+  let schedule = Silvm_app.schedule app in
+  let m = (Silvm_app.compiled app).Compile.model in
   let machine = Machine.create ~preemptive ~base_stack:96 mcu in
   let period = schedule.Target.base_period in
   (* the deployment timer settings come from the same expert system the
@@ -46,13 +44,17 @@ let run ?(preemptive = false) ?(button = fun _ -> false) ?(background_load = 0.0
   (try Pwm_periph.set_frequency pwm ~hz:20e3
    with Invalid_argument _ -> Pwm_periph.set_period_counts pwm 200);
   let qdec = if mcu.Mcu_db.has_qdec then Some (Qdec_periph.create machine ()) else None in
-  (* locate the peripheral blocks of the controller model *)
-  let find_kinds ks =
-    List.filter (fun b -> List.exists (fun k -> is_kind k b m) ks) (Model.blocks m)
+  (* the exchange-buffer slot of each peripheral role *)
+  let slots_of kind slots =
+    List.filter_map
+      (fun (b, slot) ->
+        if Autosar_blocks.pe_kind (Model.spec_of m b).Block.kind = kind then Some slot
+        else None)
+      slots
   in
-  let qdec_blocks = find_kinds [ "PE_QuadDec"; "AR_Icu" ] in
-  let btn_blocks = find_kinds [ "PE_BitIO_In"; "AR_Dio_In" ] in
-  let pwm_blocks = find_kinds [ "PE_Pwm"; "AR_Pwm" ] in
+  let qdec_slots = slots_of "PE_QuadDec" schedule.Target.sensor_slots in
+  let btn_slots = slots_of "PE_BitIO_In" schedule.Target.sensor_slots in
+  let pwm_slots = slots_of "PE_Pwm" schedule.Target.actuator_slots in
   let group_cost =
     List.fold_left (fun acc (_, c) -> acc + c) 0 schedule.Target.group_cycle_map
   in
@@ -62,33 +64,24 @@ let run ?(preemptive = false) ?(button = fun _ -> false) ?(background_load = 0.0
     Option.map (fun timeout -> Wdog_periph.create machine ~timeout ()) watchdog
   in
   let period_ref = ref 0 in
+  Silvm_app.initialize app;
   let run_step () =
     (* service the watchdog first, as the generated step's prologue does *)
     Option.iter Wdog_periph.refresh wdog;
-    (* read the position register exactly as the generated code does *)
+    (* the position register and the button pin into their sensor
+       words, the generated step, its duty word into the PWM register *)
+    let count =
+      match qdec with
+      | Some q -> Qdec_periph.read_position q
+      | None -> Encoder.count_of_angle encoder ~theta:(angle_of plant) land 0xFFFF
+    in
+    List.iter (fun slot -> Silvm_app.set_sensor app slot count) qdec_slots;
+    let pressed = if button (Machine.now machine) then 1 else 0 in
+    List.iter (fun slot -> Silvm_app.set_sensor app slot pressed) btn_slots;
+    Silvm_app.step app;
     List.iter
-      (fun b ->
-        let count =
-          match qdec with
-          | Some q -> Qdec_periph.read_position q
-          | None ->
-              Encoder.count_of_angle encoder ~theta:(angle_of plant) land 0xFFFF
-        in
-        Sim.override_output controller (b, 0) (Some (Value.of_int Dtype.Int32 count)))
-      qdec_blocks;
-    List.iter
-      (fun b ->
-        Sim.override_output controller (b, 0)
-          (Some (Value.of_bool (button (Machine.now machine)))))
-      btn_blocks;
-    Sim.step controller;
-    (* program the PWM duty register from the block's realised ratio *)
-    List.iter
-      (fun b ->
-        let ratio = Value.to_float (Sim.value controller (b, 0)) in
-        Pwm_periph.set_ratio16 pwm
-          (int_of_float (Float.round (ratio *. 65535.0))))
-      pwm_blocks;
+      (fun slot -> Pwm_periph.set_ratio16 pwm (Silvm_app.actuator app slot))
+      pwm_slots;
     let exec_s = float_of_int step_cost /. mcu.Mcu_db.f_cpu_hz in
     Obs.record h_exec exec_s;
     exec_samples := exec_s :: !exec_samples
@@ -181,8 +174,7 @@ let run ?(preemptive = false) ?(button = fun _ -> false) ?(background_load = 0.0
   }
 
 let servo_run ?preemptive ?button ?background_load ?watchdog ?overrun_inject
-    ~built_mcu ~schedule ~controller ~motor ~load ~encoder
-    ~periods () =
+    ~built_mcu ~app ~motor ~load ~encoder ~periods () =
   let stage = Power_stage.ideal ~u_supply:motor.Dc_motor.u_max in
   let state = ref Dc_motor.initial in
   let time = ref 0.0 in
@@ -192,18 +184,14 @@ let servo_run ?preemptive ?button ?background_load ?watchdog ?overrun_inject
     state := Dc_motor.step motor ~u ~tau_load:tau ~h:dt !state;
     time := !time +. dt
   in
-  let r =
-    run ?preemptive ?button ?background_load ?watchdog ?overrun_inject
-      ~mcu:built_mcu ~schedule ~controller
-      ~plant:!state
-      ~advance:(fun _ ~dt ~duty -> advance !state ~dt ~duty)
-      ~angle_of:(fun _ -> !state.Dc_motor.theta)
-      ~observe:(fun _ ->
-        [
-          ("speed", !state.Dc_motor.w);
-          ("theta", !state.Dc_motor.theta);
-          ("current", !state.Dc_motor.i);
-        ])
-      ~encoder ~periods ()
-  in
-  { profile = r.profile; trace = r.trace }
+  run ?preemptive ?button ?background_load ?watchdog ?overrun_inject
+    ~mcu:built_mcu ~app ~plant:!state
+    ~advance:(fun _ ~dt ~duty -> advance !state ~dt ~duty)
+    ~angle_of:(fun _ -> !state.Dc_motor.theta)
+    ~observe:(fun _ ->
+      [
+        ("speed", !state.Dc_motor.w);
+        ("theta", !state.Dc_motor.theta);
+        ("current", !state.Dc_motor.i);
+      ])
+    ~encoder ~periods ()

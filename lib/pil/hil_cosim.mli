@@ -5,13 +5,16 @@
     the plant (so called hardware in the loop simulation — HIL) … the
     final version of the code is used."
 
-    Unlike {!Pil_cosim}, nothing is redirected: the deployment build's
-    execution model runs on the virtual MCU with its real peripherals —
-    the TimerInt bean's {!Timer_periph} raises the periodic interrupt,
-    the controller reads the {!Qdec_periph} position register and the
-    {!Gpio_periph} button pin, and writes the {!Pwm_periph} duty register,
-    whose ratio drives the plant continuously between interrupts. The
-    remaining gap to silicon is the block-level cycle cost model.
+    The application is the PIL build ({!Silvm_app}), run on the virtual
+    MCU with its real peripherals: the TimerInt bean's {!Timer_periph}
+    raises the periodic interrupt, the step reads the {!Qdec_periph}
+    position register and the {!Gpio_periph} button pin through its
+    sensor words, and its PWM word goes into the {!Pwm_periph} duty
+    register, whose ratio drives the plant continuously between
+    interrupts. Only the driver-call lines of the deployment build
+    ([QD1_GetPosition], [PWM1_SetRatio16], ...) are not executed: their
+    exchange words stand in for them. The remaining gap to silicon is
+    the block-level cycle cost model.
 
     The rig is shaped for the paper's servo case study (PWM out,
     quadrature + button in); the coupling callbacks keep the plant model
@@ -30,7 +33,7 @@ type profile = {
       (** expiries of the optional watchdog (0 when none is armed) *)
 }
 
-type 'p result = {
+type result = {
   profile : profile;
   trace : (float * (string * float) list) list;
 }
@@ -42,8 +45,7 @@ val run :
   ?watchdog:float ->
   ?overrun_inject:(int -> int) ->
   mcu:Mcu_db.t ->
-  schedule:Target.schedule ->
-  controller:Sim.t ->
+  app:Silvm_app.t ->
   plant:'p ->
   advance:('p -> dt:float -> duty:float -> unit) ->
   angle_of:('p -> float) ->
@@ -51,8 +53,9 @@ val run :
   encoder:Encoder.t ->
   periods:int ->
   unit ->
-  'p result
-(** The plant and peripherals couple on 16 sub-steps per control
+  result
+(** Run [periods] control periods of [app] (initialised first, as the
+    target boots). The plant and peripherals couple on 16 sub-steps per control
     period. [background_load] (default 0) adds a
     competing background ISR consuming that fraction of the CPU, for
     stress runs. [watchdog] arms a {!Wdog_periph} with that timeout; the
@@ -70,12 +73,11 @@ val servo_run :
   ?watchdog:float ->
   ?overrun_inject:(int -> int) ->
   built_mcu:Mcu_db.t ->
-  schedule:Target.schedule ->
-  controller:Sim.t ->
+  app:Silvm_app.t ->
   motor:Dc_motor.params ->
   load:Load_profile.t ->
   encoder:Encoder.t ->
   periods:int ->
   unit ->
-  Dc_motor.state result
+  result
 (** The case-study instantiation: DC motor + ideal power stage. *)

@@ -49,15 +49,27 @@ let splitmix state =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+(* a frame payload is a list of u16 words, high byte first *)
+let words n payload =
+  let rec take acc rest n =
+    if n = 0 then Array.of_list (List.rev acc)
+    else
+      let v, rest = Packet.take_u16 rest in
+      take (v :: acc) rest (n - 1)
+  in
+  take [] payload n
+
+let payload_of ws =
+  Packet.finish_payload (Array.fold_left (fun acc v -> Packet.push_u16 v acc) [] ws)
+
 (* CPU cycles of the host-link receive and transmit interrupt handlers *)
 let rx_isr_cycles = 80
 let tx_isr_cycles = 40
 
 let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0) ?(seed = 1)
-    ?(dup_frames = false) ~mcu ~schedule ~controller ~plant ~driver ~periods () =
+    ?(dup_frames = false) ~mcu ~app ~plant ~driver ~periods () =
   Obs.span "pil.run" @@ fun () ->
-  let comp = Sim.compiled controller in
-  let m = comp.Compile.model in
+  let schedule = Silvm_app.schedule app in
   let machine = Machine.create ~preemptive ~base_stack:96 mcu in
   let sci = Sci_periph.create machine ~baud () in
   let period = schedule.Target.base_period in
@@ -76,60 +88,21 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0) ?(seed = 1)
     List.fold_left (fun acc (_, c) -> acc + c) 0 schedule.Target.group_cycle_map
   in
   let step_cost = schedule.Target.total_step_cycles + group_cost in
-  (* --- target side --- *)
-  let sensor_kind b = (Model.spec_of m b).Block.kind in
-  let apply_sensors payload =
-    let values = ref payload in
-    List.iter
-      (fun (b, _slot) ->
-        let v, rest = Packet.take_u16 !values in
-        values := rest;
-        let value =
-          match sensor_kind b with
-          | "PE_Adc" | "AR_Adc" -> Value.of_int Dtype.Uint16 v
-          | "PE_QuadDec" | "AR_Icu" -> Value.of_int Dtype.Int32 v
-          | "PE_BitIO_In" | "AR_Dio_In" -> Value.of_bool (v <> 0)
-          | k -> failwith ("unexpected sensor block kind " ^ k)
-        in
-        Sim.override_output controller (b, 0) (Some value))
-      schedule.Target.sensor_slots
-  in
-  let read_actuators () =
-    List.map
-      (fun (b, _slot) ->
-        match sensor_kind b with
-        | "PE_Pwm" | "AR_Pwm" ->
-            let ratio = Value.to_float (Sim.value controller (b, 0)) in
-            int_of_float (Float.round (ratio *. 65535.0)) land 0xFFFF
-        | "PE_BitIO_Out" | "AR_Dio_Out" ->
-            if Value.to_bool (Sim.value controller (b, 0)) then 1 else 0
-        | "PE_Dac" ->
-            (* the DAC block outputs volts; ship the raw code instead *)
-            (match Model.driver m (b, 0) with
-            | Some src -> Value.to_int (Sim.value controller src) land 0xFFFF
-            | None -> 0)
-        | k -> failwith ("unexpected actuator block kind " ^ k))
-      schedule.Target.actuator_slots
-  in
+  let n_sensors = List.length schedule.Target.sensor_slots in
+  let n_actuators = List.length schedule.Target.actuator_slots in
   (* host-side state *)
   let pending_actuators = ref None in
   let reply_complete_cycle = ref None in
   let host_framer =
     Framer.create ~on_packet:(fun pkt ->
         if pkt.Packet.ptype = Packet.ptype_actuator then begin
-          let rec take acc rest n =
-            if n = 0 then List.rev acc
-            else
-              let v, rest = Packet.take_u16 rest in
-              take (v :: acc) rest (n - 1)
-          in
-          let n = List.length schedule.Target.actuator_slots in
-          pending_actuators := Some (Array.of_list (take [] pkt.Packet.payload n));
+          pending_actuators := Some (words n_actuators pkt.Packet.payload);
           reply_complete_cycle := Some (Machine.now_cycles machine)
         end)
   in
   Sci_periph.on_tx_byte sci (fun b -> Framer.feed host_framer b);
-  (* target framer and step execution *)
+  (* --- target side: the generated application, booted once --- *)
+  Silvm_app.initialize app;
   let exec_samples = ref [] and start_offsets = ref [] in
   let latencies = ref [] in
   let period_index = ref 0 in
@@ -148,17 +121,17 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0) ?(seed = 1)
           target_pending := Some pkt
         end)
   in
-  let rx_irq =
+  (* the PIL build's step: sensor words into the exchange buffer, the
+     generated step, the actuator words it wrote back over the line *)
   let do_step pkt =
-    apply_sensors pkt.Packet.payload;
-    Sim.step controller;
-    let acts = read_actuators () in
-    let payload =
-      Packet.finish_payload
-        (List.fold_left (fun acc v -> Packet.push_u16 v acc) [] acts)
-    in
+    Array.iteri (Silvm_app.set_sensor app) (words n_sensors pkt.Packet.payload);
+    Silvm_app.step app;
     let reply =
-      { Packet.ptype = Packet.ptype_actuator; seq = pkt.Packet.seq; payload }
+      {
+        Packet.ptype = Packet.ptype_actuator;
+        seq = pkt.Packet.seq;
+        payload = payload_of (Array.init n_actuators (Silvm_app.actuator app));
+      }
     in
     ignore (Sci_periph.send_bytes sci (Packet.encode reply))
   in
@@ -190,10 +163,10 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0) ?(seed = 1)
           stack_bytes = 32;
         }
   in
-    Machine.register_irq machine ~name:"SCI_RX" ~prio:2 ~handler
-  in
+  let rx_irq = Machine.register_irq machine ~name:"SCI_RX" ~prio:2 ~handler in
   Sci_periph.on_rx sci (fun _ -> Machine.raise_irq machine rx_irq);
   (* --- co-simulation loop --- *)
+  let byte_cycles = Sci_periph.byte_cycles sci in
   let rng = ref (Int64.of_int seed) in
   let corrupt b =
     if error_rate > 0.0 then begin
@@ -205,12 +178,9 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0) ?(seed = 1)
     end
     else b
   in
-  let byte_cycles = Sci_periph.byte_cycles sci in
   let overruns = ref 0 in
   let trace = ref [] in
-  let last_actuators =
-    ref (Array.make (List.length schedule.Target.actuator_slots) 0)
-  in
+  let last_actuators = ref (Array.make n_actuators 0) in
   for k = 0 to periods - 1 do
     Obs.span_begin "pil.period";
     Obs.add c_periods 1;
@@ -221,11 +191,13 @@ let run ?(baud = 115200) ?(preemptive = false) ?(error_rate = 0.0) ?(seed = 1)
     (* compose and "transmit" the sensor packet: byte i arrives one frame
        time after it started on the wire *)
     let sensors = driver.read_sensors plant ~time:(Machine.now machine) in
-    let payload =
-      Packet.finish_payload
-        (Array.fold_left (fun acc v -> Packet.push_u16 v acc) [] sensors)
+    let pkt =
+      {
+        Packet.ptype = Packet.ptype_sensor;
+        seq = k land 0xFF;
+        payload = payload_of sensors;
+      }
     in
-    let pkt = { Packet.ptype = Packet.ptype_sensor; seq = k land 0xFF; payload } in
     let wire = Packet.encode pkt in
     let wire = if dup_frames then wire @ wire else wire in
     List.iteri

@@ -3,12 +3,16 @@
     The host PC ("simulator PC" running the plant model generated for the
     xPC target) and the development board exchange one packet pair per
     control period over the RS-232 line: sensors down, actuators back.
-    Here the development board is the {!Machine} virtual MCU executing
-    the controller's generated schedule — behaviourally by stepping the
-    very same compiled model through the MIL engine with peripheral
-    outputs overridden from the communication buffer (what PEERT_PIL's
-    generated code does), and temporally by charging the generated code's
-    cycle costs, the per-byte ISR costs and the line's baud rate.
+    Here the development board is the {!Machine} virtual MCU running the
+    generated PIL application ({!Silvm_app}): the receive ISR writes each
+    sensor word of the frame into [pil_sensor_buf], calls the generated
+    step, and replies with the words the step wrote to
+    [pil_actuator_buf] — "the code generated for the peripheral blocks
+    does not handle the peripherals hardware, but read/write the data
+    from/to the communication buffer" (§6). Over a clean link the loop is
+    therefore the SIL closed loop of the same build. Time is charged from
+    the generated code's cycle costs, the per-byte ISR costs and the
+    line's baud rate.
 
     Everything the paper says PIL reveals is measured: "the execution
     times of the implemented controller code, interrupts response times,
@@ -54,17 +58,19 @@ val run :
   ?seed:int ->
   ?dup_frames:bool ->
   mcu:Mcu_db.t ->
-  schedule:Target.schedule ->
-  controller:Sim.t ->
+  app:Silvm_app.t ->
   plant:'p ->
   driver:'p plant_driver ->
   periods:int ->
   unit ->
   result
-(** Run [periods] control periods. [baud] defaults to 115200 (the
-    paper's RS-232 link; sweep it for experiment E5). [error_rate] is a
-    per-byte corruption probability on the line (deterministic PRNG with
-    [seed]), exercising the CRC path. [dup_frames] transmits every
+(** Run [periods] control periods of [app] (the PIL build; it is
+    initialised first, as the target boots, and its schedule gives the
+    period and the buffer slots). [baud] defaults to 115200 (the paper's
+    RS-232 link; sweep it for experiment E5). [error_rate] is a
+    per-byte corruption probability on the host-to-target line
+    (deterministic PRNG with [seed]), exercising the CRC path.
+    [dup_frames] transmits every
     sensor frame twice, exercising the target's sequence-number
     deduplication (a duplicated frame must not step the controller
     twice). [preemptive] configures the interrupt controller (E7

@@ -94,21 +94,15 @@ let compared_signals comp =
       List.init spec.Block.n_out (fun p -> (b, p)))
     blocks
 
-let inject sim apps schedule sensors =
-  let m = (Sim.compiled sim).Compile.model in
+(* the same raw sensor words into the MIL block outputs, decoded by
+   each slot's port type, and into every SIL exchange buffer *)
+let inject sim apps slots sensors =
   List.iter
-    (fun (b, slot) ->
+    (fun (b, slot, ty) ->
       let v = sensors.(slot) in
-      let value =
-        match Autosar_blocks.pe_kind (Model.spec_of m b).Block.kind with
-        | "PE_Adc" -> Value.of_int Dtype.Uint16 v
-        | "PE_QuadDec" -> Value.of_int Dtype.Int32 v
-        | "PE_BitIO_In" -> Value.of_bool (v <> 0)
-        | k -> failwith ("Silvm_diff: unexpected sensor block kind " ^ k)
-      in
-      Sim.override_output sim (b, 0) (Some value);
+      Sim.override_output sim (b, 0) (Some (Value.of_int ty v));
       List.iter (fun app -> Silvm_app.set_sensor app slot v) apps)
-    schedule.Target.sensor_slots
+    slots
 
 (* bit-for-bit equality between the two SIL engines: same type, same
    canonical integer, same float bits ([compare] would identify -0.
@@ -146,11 +140,14 @@ let run ?(steps = 1000) ?(float_mode = Exact) ?(opt = false) ?(engine = Compiled
     | Both -> Some (Silvm_app.create ~opt ~engine:`Interp ~name ~project comp)
     | Interp | Compiled -> None
   in
-  Silvm_app.initialize app;
-  Option.iter Silvm_app.initialize shadow;
   let apps = app :: Option.to_list shadow in
   let sched = Silvm_app.schedule app in
   let n_act = List.length sched.Target.actuator_slots in
+  let sensor_slots =
+    List.map
+      (fun (b, slot) -> (b, slot, Compile.out_type comp (b, 0)))
+      sched.Target.sensor_slots
+  in
   let signals = compared_signals comp in
   let m = comp.Compile.model in
   let base = comp.Compile.base_dt in
@@ -159,92 +156,113 @@ let run ?(steps = 1000) ?(float_mode = Exact) ?(opt = false) ?(engine = Compiled
   let force_at = forced_divergence_at () in
   let result =
     try
-      for k = 0 to steps - 1 do
-        let time = float_of_int k *. base in
-        let perturb s =
-          let s =
-            match injector with
-            | Some i -> i.inj_sensors ~step:k ~time s
-            | None -> s
-          in
-          if Flight.enabled () then
-            Array.iteri
-              (fun slot v ->
-                Flight.signal ~step:k ~time ~port:slot ~value:(float_of_int v)
-                  "sensor")
-              s;
-          s
-        in
-        (match plant, stimulus with
-        | Some (Plant (p, d)), _ ->
-            inject sim apps sched (perturb (d.Pil_cosim.read_sensors p ~time))
-        | None, Some f -> inject sim apps sched (perturb (f k))
-        | None, None -> ());
-        let t0 = Sys.time () in
-        Sim.step sim;
-        mil_t := !mil_t +. (Sys.time () -. t0);
-        let t1 = Sys.time () in
-        Silvm_app.step app;
-        sil_t := !sil_t +. (Sys.time () -. t1);
-        Option.iter Silvm_app.step shadow;
-        let faults () =
-          match injector with Some i -> i.inj_active ~time | None -> []
-        in
-        (match force_at with
-        | Some k' when k = k' ->
-            raise
-              (Stop
-                 {
-                   d_step = k;
-                   d_time = time;
-                   d_block = "__forced";
-                   d_port = 0;
-                   d_mil = "forced";
-                   d_sil = "forced";
-                   d_faults = faults ();
-                 })
-        | _ -> ());
-        List.iter
-          (fun (b, p) ->
-            let mil = Sim.value sim (b, p) in
-            let sil = Silvm_app.signal app (b, p) in
-            if not (values_agree float_mode mil sil) then
-              raise
-                (Stop
-                   {
-                     d_step = k;
-                     d_time = time;
-                     d_block = Model.block_name m b;
-                     d_port = p;
-                     d_mil = mil_to_string mil;
-                     d_sil = Silvm_value.to_string sil;
-                     d_faults = faults ();
-                   });
-            match shadow with
-            | None -> ()
-            | Some sh ->
-                let isil = Silvm_app.signal sh (b, p) in
-                if not (sil_bits_equal sil isil) then
-                  raise
-                    (Stop
-                       {
-                         d_step = k;
-                         d_time = time;
-                         d_block = Model.block_name m b;
-                         d_port = p;
-                         d_mil = "interp:" ^ Silvm_value.to_string isil;
-                         d_sil = Silvm_value.to_string sil;
-                         d_faults = faults ();
-                       }))
-          signals;
-        incr steps_done;
-        match plant with
-        | Some (Plant (p, d)) ->
-            let acts = Array.init n_act (Silvm_app.actuator app) in
-            d.Pil_cosim.apply_actuators p acts;
-            d.Pil_cosim.advance p ~dt:base
-        | None -> ()
-      done;
+      (* code the SIL engines cannot run (an opaque statement from a
+         registered custom emitter, in its init or step) is a
+         divergence at the step it stopped *)
+      (try
+         Silvm_app.initialize app;
+         Option.iter Silvm_app.initialize shadow;
+         for k = 0 to steps - 1 do
+           let time = float_of_int k *. base in
+           let perturb s =
+             let s =
+               match injector with
+               | Some i -> i.inj_sensors ~step:k ~time s
+               | None -> s
+             in
+             if Flight.enabled () then
+               Array.iteri
+                 (fun slot v ->
+                   Flight.signal ~step:k ~time ~port:slot ~value:(float_of_int v)
+                     "sensor")
+                 s;
+             s
+           in
+           (match plant, stimulus with
+           | Some (Plant (p, d)), _ ->
+               inject sim apps sensor_slots (perturb (d.Pil_cosim.read_sensors p ~time))
+           | None, Some f -> inject sim apps sensor_slots (perturb (f k))
+           | None, None -> ());
+           let t0 = Sys.time () in
+           Sim.step sim;
+           mil_t := !mil_t +. (Sys.time () -. t0);
+           let faults () =
+             match injector with Some i -> i.inj_active ~time | None -> []
+           in
+           let t1 = Sys.time () in
+           Silvm_app.step app;
+           sil_t := !sil_t +. (Sys.time () -. t1);
+           Option.iter Silvm_app.step shadow;
+           (match force_at with
+           | Some k' when k = k' ->
+               raise
+                 (Stop
+                    {
+                      d_step = k;
+                      d_time = time;
+                      d_block = "__forced";
+                      d_port = 0;
+                      d_mil = "forced";
+                      d_sil = "forced";
+                      d_faults = faults ();
+                    })
+           | _ -> ());
+           List.iter
+             (fun (b, p) ->
+               let mil = Sim.value sim (b, p) in
+               let sil = Silvm_app.signal app (b, p) in
+               if not (values_agree float_mode mil sil) then
+                 raise
+                   (Stop
+                      {
+                        d_step = k;
+                        d_time = time;
+                        d_block = Model.block_name m b;
+                        d_port = p;
+                        d_mil = mil_to_string mil;
+                        d_sil = Silvm_value.to_string sil;
+                        d_faults = faults ();
+                      });
+               match shadow with
+               | None -> ()
+               | Some sh ->
+                   let isil = Silvm_app.signal sh (b, p) in
+                   if not (sil_bits_equal sil isil) then
+                     raise
+                       (Stop
+                          {
+                            d_step = k;
+                            d_time = time;
+                            d_block = Model.block_name m b;
+                            d_port = p;
+                            d_mil = "interp:" ^ Silvm_value.to_string isil;
+                            d_sil = Silvm_value.to_string sil;
+                            d_faults = faults ();
+                          }))
+             signals;
+           incr steps_done;
+           match plant with
+           | Some (Plant (p, d)) ->
+               let acts = Array.init n_act (Silvm_app.actuator app) in
+               d.Pil_cosim.apply_actuators p acts;
+               d.Pil_cosim.advance p ~dt:base
+           | None -> ()
+         done
+       with Silvm_interp.Unsupported msg ->
+         let k = !steps_done in
+         let time = float_of_int k *. base in
+         raise
+           (Stop
+              {
+                d_step = k;
+                d_time = time;
+                d_block = name;
+                d_port = 0;
+                d_mil = "-";
+                d_sil = "unsupported: " ^ msg;
+                d_faults =
+                  (match injector with Some i -> i.inj_active ~time | None -> []);
+              }));
       None
     with Stop d ->
       (* forensic moment: record the mismatch itself, then freeze the

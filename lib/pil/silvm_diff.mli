@@ -26,7 +26,10 @@ type divergence = {
   d_block : string;
   d_port : int;
   d_mil : string;  (** the engine's value, printed exactly *)
-  d_sil : string;  (** the interpreter's value, printed exactly *)
+  d_sil : string;
+      (** the generated code's value, printed exactly; ["unsupported: "]
+          and the reason when a SIL engine cannot run the code (then
+          [d_block] is the application name) *)
   d_faults : string list;
       (** names of the injected faults active at the divergence step
           (empty when no injector was armed) *)

@@ -208,6 +208,7 @@ let signal app (b, p) =
     (sanitized_field b p app.comp.Compile.model)
 
 let schedule app = app.arts.Target.schedule
+let compiled app = app.comp
 
 let stmts_executed app =
   match app.backend with

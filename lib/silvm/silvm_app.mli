@@ -78,5 +78,9 @@ val signal : t -> Model.blk * int -> Silvm_value.t
     compiled reader on the compiled engine). *)
 
 val schedule : t -> Target.schedule
+
+val compiled : t -> Compile.t
+(** the compiled diagram the application was generated from *)
+
 val stmts_executed : t -> int
 (** interpreter statement counter; [0] on the compiled engine *)

@@ -66,12 +66,11 @@ let test_autosar_pil_variant () =
   check_bool "sensor redirected" true (contains c "pil_sensor_buf[");
   check_bool "no MCAL hardware access" false (contains c "Icu_GetEdgeNumbers");
   (* and the co-simulation behaves like the PE one *)
-  let controller = Sim.create comp in
   let plant = Servo_system.pil_plant b in
   let driver = Servo_system.pil_driver b in
   let r =
-    Pil_cosim.run ~mcu:cfg.Servo_system.mcu ~schedule:a.Target.schedule ~controller
-      ~plant ~driver ~periods:250 ()
+    Pil_cosim.run ~mcu:cfg.Servo_system.mcu ~app:(Servo_system.pil_app b) ~plant
+      ~driver ~periods:250 ()
   in
   match List.rev (Servo_system.pil_speed_trace r.Pil_cosim.trace) with
   | (_, w) :: _ -> Alcotest.(check (float 5.0)) "AUTOSAR PIL tracks" 150.0 w

@@ -474,12 +474,9 @@ let test_wdog_rearm () =
 let test_hil_wdog_under_injected_overruns () =
   let cfg = Servo_system.default_config in
   let b = Servo_system.build ~config:cfg () in
-  let comp = Compile.compile b.Servo_system.controller in
-  let arts = Target.generate ~name:"servo" ~project:b.Servo_system.project comp in
   let run ?overrun_inject () =
-    let controller = Sim.create (Compile.compile b.Servo_system.controller) in
     Hil_cosim.servo_run ~watchdog:3e-3 ?overrun_inject
-      ~built_mcu:cfg.Servo_system.mcu ~schedule:arts.Target.schedule ~controller
+      ~built_mcu:cfg.Servo_system.mcu ~app:(Servo_system.pil_app b)
       ~motor:cfg.Servo_system.motor ~load:cfg.Servo_system.load
       ~encoder:(Encoder.create ~lines_per_rev:cfg.Servo_system.encoder_lines ())
       ~periods:300 ()

@@ -6,12 +6,9 @@ let check_int = Alcotest.(check int)
 
 let run_hil ?(periods = 600) ?preemptive ?background_load ?button cfg =
   let b = Servo_system.build ~config:cfg () in
-  let comp = Compile.compile b.Servo_system.controller in
-  let arts = Target.generate ~name:"servo" ~project:b.Servo_system.project comp in
-  let controller = Sim.create comp in
   ( b,
     Hil_cosim.servo_run ?preemptive ?background_load ?button
-      ~built_mcu:cfg.Servo_system.mcu ~schedule:arts.Target.schedule ~controller
+      ~built_mcu:cfg.Servo_system.mcu ~app:(Servo_system.pil_app b)
       ~motor:cfg.Servo_system.motor ~load:cfg.Servo_system.load
       ~encoder:(Encoder.create ~lines_per_rev:cfg.Servo_system.encoder_lines ())
       ~periods () )
@@ -98,14 +95,10 @@ let test_hil_watchdog () =
   let _, ok = run_hil Servo_system.default_config ~periods:300 in
   ignore ok;
   let b = Servo_system.build () in
-  let comp = Compile.compile b.Servo_system.controller in
-  let arts = Target.generate ~name:"servo" ~project:b.Servo_system.project comp in
   let run watchdog =
-    let controller = Sim.create (Compile.compile b.Servo_system.controller) in
-    ignore arts;
     Hil_cosim.servo_run ~watchdog
       ~built_mcu:Servo_system.default_config.Servo_system.mcu
-      ~schedule:arts.Target.schedule ~controller
+      ~app:(Servo_system.pil_app b)
       ~motor:Servo_system.default_config.Servo_system.motor
       ~load:Servo_system.default_config.Servo_system.load
       ~encoder:(Encoder.create ()) ~periods:200 ()

@@ -259,6 +259,42 @@ let test_noise_seed0 () =
   Alcotest.(check bool) "not constant" true
     (List.exists (fun x -> x <> List.hd samples) samples)
 
+(* Kinds registered through the public hook, not in [custom_cases]:
+   their emitter writes through a call, a statement the lifter leaves
+   opaque, in the step or in the init code. Neither SIL engine can run
+   it, and the diff must report that as a divergence at the first step,
+   not raise. *)
+let test_unsupported_is_divergence ~in_init engine () =
+  let kind = if in_init then "OpaqueInit" else "OpaqueWrite" in
+  Blockgen.register kind (fun g _ ->
+      let x = List.hd g.Blockgen.ins in
+      let opaque = C_ast.Assign (C_ast.Call ("io_port", []), C_ast.Int_lit 0) in
+      {
+        Blockgen.state_fields = [];
+        init = (if in_init then [ opaque ] else []);
+        step =
+          (if in_init then [] else [ opaque ])
+          @ [ C_ast.Assign (List.hd g.Blockgen.outs, x) ];
+        update = [];
+        needs_time = false;
+      });
+  let c =
+    around ~srcs:[ sine ] (Block.stateless ~kind ~n_in:1 ~n_out:1 (fun _ ins -> ins))
+  in
+  let r =
+    Silvm_diff.run ~steps ~engine ~name:"lk" ~project:c.project
+      (Compile.compile ~default_dt:0.01 c.model)
+  in
+  Alcotest.(check int) "steps run" 0 r.Silvm_diff.steps_run;
+  match r.Silvm_diff.divergence with
+  | Some d ->
+      Alcotest.(check int) "at step 0" 0 d.Silvm_diff.d_step;
+      Alcotest.(check bool)
+        ("d_sil reports unsupported: " ^ d.Silvm_diff.d_sil)
+        true
+        (String.starts_with ~prefix:"unsupported: " d.Silvm_diff.d_sil)
+  | None -> Alcotest.fail "opaque code ran without a divergence"
+
 (* ---- the servo in both block sets, float and fixed, opt off and on ---- *)
 
 let servo_case block_set variant opt () =
@@ -299,3 +335,14 @@ let suite =
       [ ("PE_BitIO_Out", Periph_blocks.bit_io_out); ("AR_Dio_Out", Autosar_blocks.dio_out) ]
   @ Alcotest.test_case "UniformNoise seed 0 draws noise" `Quick test_noise_seed0
     :: servo_matrix
+  @ List.map
+      (fun (e_name, engine) ->
+        Alcotest.test_case
+          (Printf.sprintf "unsupported code is a divergence (%s)" e_name)
+          `Quick
+          (test_unsupported_is_divergence ~in_init:false engine))
+      [ ("interp", Silvm_diff.Interp); ("compiled", Silvm_diff.Compiled) ]
+  @ [
+      Alcotest.test_case "unsupported init code is a divergence" `Quick
+        (test_unsupported_is_divergence ~in_init:true Silvm_diff.Compiled);
+    ]

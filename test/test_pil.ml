@@ -6,16 +6,14 @@ let check_int = Alcotest.(check int)
 let pil_cfg =
   { Servo_system.default_config with Servo_system.control_period = 5e-3 }
 
-let run_pil ?(periods = 300) ?baud ?error_rate ?preemptive () =
+let run_pil ?(periods = 300) ?baud ?error_rate ?preemptive ?dup_frames () =
   let b = Servo_system.build ~config:pil_cfg () in
-  let comp = Compile.compile b.Servo_system.controller in
-  let a = Pil_target.generate ~name:"servo" ~project:b.Servo_system.project comp in
-  let controller = Sim.create comp in
   let plant = Servo_system.pil_plant b in
   let driver = Servo_system.pil_driver b in
   ( b,
-    Pil_cosim.run ?baud ?error_rate ?preemptive ~mcu:pil_cfg.Servo_system.mcu
-      ~schedule:a.Target.schedule ~controller ~plant ~driver ~periods () )
+    Pil_cosim.run ?baud ?error_rate ?preemptive ?dup_frames
+      ~mcu:pil_cfg.Servo_system.mcu ~app:(Servo_system.pil_app b) ~plant ~driver
+      ~periods () )
 
 let test_pil_converges () =
   let _, r = run_pil ~periods:300 () in
@@ -100,14 +98,11 @@ let test_pil_comm_accounting () =
 let test_pil_fixed_point_variant () =
   let cfg = { pil_cfg with Servo_system.variant = Servo_system.Fixed_pid } in
   let b = Servo_system.build ~config:cfg () in
-  let comp = Compile.compile b.Servo_system.controller in
-  let a = Pil_target.generate ~name:"servofx" ~project:b.Servo_system.project comp in
-  let controller = Sim.create comp in
   let plant = Servo_system.pil_plant b in
   let driver = Servo_system.pil_driver b in
   let r =
-    Pil_cosim.run ~mcu:cfg.Servo_system.mcu ~schedule:a.Target.schedule
-      ~controller ~plant ~driver ~periods:300 ()
+    Pil_cosim.run ~mcu:cfg.Servo_system.mcu ~app:(Servo_system.pil_app b)
+      ~plant ~driver ~periods:300 ()
   in
   match List.rev (Servo_system.pil_speed_trace r.Pil_cosim.trace) with
   | (_, w) :: _ ->
@@ -119,16 +114,7 @@ let test_pil_duplicate_frames_idempotent () =
      deduplication must step the controller exactly once per period, so
      the closed-loop trajectory is identical to the clean run *)
   let _, clean = run_pil ~periods:200 () in
-  let b = Servo_system.build ~config:pil_cfg () in
-  let comp = Compile.compile b.Servo_system.controller in
-  let a = Pil_target.generate ~name:"servo" ~project:b.Servo_system.project comp in
-  let controller = Sim.create comp in
-  let plant = Servo_system.pil_plant b in
-  let driver = Servo_system.pil_driver b in
-  let dup =
-    Pil_cosim.run ~dup_frames:true ~mcu:pil_cfg.Servo_system.mcu
-      ~schedule:a.Target.schedule ~controller ~plant ~driver ~periods:200 ()
-  in
+  let _, dup = run_pil ~periods:200 ~dup_frames:true () in
   check_int "no overruns with duplicated frames" 0
     dup.Pil_cosim.profile.Pil_cosim.overruns;
   let speeds r = List.map snd (Servo_system.pil_speed_trace r.Pil_cosim.trace) in
@@ -153,6 +139,66 @@ let test_pil_timeout_holds_last_actuator () =
         obs)
     r.Pil_cosim.trace
 
+(* Over a clean link PIL runs the generated application, so it is the
+   SIL closed loop of the same build: the words handed to the plant and
+   the per-period observations are bit-identical to [Silvm_app] stepped
+   against the same plant driver. *)
+let test_pil_is_sil block_set variant () =
+  let cfg = { pil_cfg with Servo_system.block_set; variant } in
+  let b = Servo_system.build ~config:cfg () in
+  let periods = 300 in
+  let recording () =
+    let words = ref [] in
+    let d = Servo_system.pil_driver b in
+    let driver =
+      { d with
+        Pil_cosim.apply_actuators =
+          (fun p acts ->
+            words := Array.copy acts :: !words;
+            d.Pil_cosim.apply_actuators p acts) }
+    in
+    (driver, words)
+  in
+  let driver, pil_words = recording () in
+  let r =
+    Pil_cosim.run ~mcu:cfg.Servo_system.mcu ~app:(Servo_system.pil_app b)
+      ~plant:(Servo_system.pil_plant b) ~driver ~periods ()
+  in
+  let driver, sil_words = recording () in
+  let app = Servo_system.pil_app b in
+  let plant = Servo_system.pil_plant b in
+  let period = (Silvm_app.schedule app).Target.base_period in
+  let n_act = List.length (Silvm_app.schedule app).Target.actuator_slots in
+  Silvm_app.initialize app;
+  let sil_obs =
+    List.init periods (fun k ->
+        Array.iteri (Silvm_app.set_sensor app)
+          (driver.Pil_cosim.read_sensors plant ~time:(float_of_int k *. period));
+        Silvm_app.step app;
+        driver.Pil_cosim.apply_actuators plant
+          (Array.init n_act (Silvm_app.actuator app));
+        driver.Pil_cosim.advance plant ~dt:period;
+        driver.Pil_cosim.observe plant)
+  in
+  check_int "no overruns" 0 r.Pil_cosim.profile.Pil_cosim.overruns;
+  Alcotest.(check (list (array int))) "actuator words" (List.rev !sil_words)
+    (List.rev !pil_words);
+  let bits obs = List.map (fun (n, v) -> (n, Int64.bits_of_float v)) obs in
+  Alcotest.(check (list (list (pair string int64)))) "observations"
+    (List.map bits sil_obs)
+    (List.map (fun (_, obs) -> bits obs) r.Pil_cosim.trace)
+
+let pil_is_sil_cases =
+  List.concat_map
+    (fun (set_name, set) ->
+      List.map
+        (fun (v_name, v) ->
+          Alcotest.test_case
+            (Printf.sprintf "clean-link PIL is SIL (%s %s)" set_name v_name)
+            `Quick (test_pil_is_sil set v))
+        [ ("float", Servo_system.Float_pid); ("fixed", Servo_system.Fixed_pid) ])
+    [ ("PE", Servo_system.Pe_blocks); ("AUTOSAR", Servo_system.Autosar_blocks) ]
+
 let suite =
   [
     Alcotest.test_case "pil converges" `Quick test_pil_converges;
@@ -167,3 +213,4 @@ let suite =
     Alcotest.test_case "timeout holds last actuator frame" `Quick
       test_pil_timeout_holds_last_actuator;
   ]
+  @ pil_is_sil_cases
