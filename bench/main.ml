@@ -1,7 +1,6 @@
 (* The experiment harness: regenerates every table- and figure-shaped
    result of the paper's evaluation (see DESIGN.md's per-experiment index
-   and EXPERIMENTS.md for paper-vs-measured), then runs the bechamel
-   performance benches.
+   and EXPERIMENTS.md for paper-vs-measured), then the perf experiment.
 
    Usage:
      dune exec bench/main.exe            -- everything

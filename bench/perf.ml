@@ -1,128 +1,8 @@
-(* P1-P8: performance of the environment itself (bechamel micro-benches).
-   One Test.make per metric; time-per-run estimated by OLS against the
-   monotonic clock. *)
-
-open Bechamel
-open Toolkit
-
-(* P1: MIL engine throughput on the servo closed loop *)
-let bench_mil =
-  let built = Servo_system.build () in
-  let comp = Compile.compile built.Servo_system.closed_loop in
-  let sim = Sim.create ~solver_substeps:3 comp in
-  Test.make ~name:"P1 MIL engine step (servo, 21 blocks)"
-    (Staged.stage (fun () -> Sim.step sim))
-
-(* P2: virtual-MCU event throughput *)
-let bench_machine =
-  let machine = Machine.create Mcu_db.mc56f8367 in
-  let irq =
-    Machine.register_irq machine ~name:"x" ~prio:1 ~handler:(fun () ->
-        { Machine.jname = "x"; cycles = 100; action = (fun () -> ());
-          stack_bytes = 16 })
-  in
-  Test.make ~name:"P2 virtual MCU: event + ISR dispatch"
-    (Staged.stage (fun () ->
-         Machine.raise_irq machine irq;
-         Machine.advance machine ~cycles:500))
-
-(* P3: full code generation of the servo controller *)
-let bench_codegen =
-  let built = Servo_system.build () in
-  let comp = Compile.compile built.Servo_system.controller in
-  Test.make ~name:"P3 PEERT codegen (servo controller)"
-    (Staged.stage (fun () ->
-         ignore (Target.generate ~name:"servo" ~project:built.Servo_system.project comp)))
-
-(* P4: comm path: packet encode + framer decode roundtrip *)
-let bench_comm =
-  let payload = List.init 16 (fun i -> i * 7 land 0xFF) in
-  let sink = Framer.create ~on_packet:(fun _ -> ()) in
-  Test.make ~name:"P4 packet encode + frame decode (16 B payload)"
-    (Staged.stage (fun () ->
-         Framer.feed_all sink
-           (Packet.encode { Packet.ptype = 1; seq = 0; payload })))
-
-(* P5: controller arithmetic, float vs Q15 *)
-let bench_pid_float =
-  let c = Pid.create ~ts:1e-3 (Pid.gains ~kp:0.03 ~ki:2.5 ~u_min:0.0 ~u_max:24.0 ()) in
-  let x = ref 0.0 in
-  Test.make ~name:"P5a PID step (double)"
-    (Staged.stage (fun () ->
-         x := Pid.step c ~sp:100.0 ~pv:!x *. 0.99))
-
-let bench_pid_fixed =
-  let c =
-    Pid.Fixpoint.create ~ts:1e-3 ~fmt:Qformat.q15 ~in_scale:512.0 ~out_scale:24.0
-      (Pid.gains ~kp:0.03 ~ki:2.5 ~u_min:0.0 ~u_max:24.0 ())
-  in
-  let x = ref 0.0 in
-  Test.make ~name:"P5b PID step (Q15 fixed)"
-    (Staged.stage (fun () ->
-         x := Pid.Fixpoint.step c ~sp:100.0 ~pv:!x *. 0.99))
-
-(* P6: one full PIL co-simulated control period *)
-let bench_pil =
-  let cfg = { Servo_system.default_config with Servo_system.control_period = 5e-3 } in
-  let built = Servo_system.build ~config:cfg () in
-  let app = Servo_system.pil_app built in
-  Test.make ~name:"P6 PIL co-simulation (100 control periods)"
-    (Staged.stage (fun () ->
-         let plant = Servo_system.pil_plant built in
-         let driver = Servo_system.pil_driver built in
-         ignore
-           (Pil_cosim.run ~mcu:cfg.Servo_system.mcu ~app ~plant ~driver
-              ~periods:100 ())))
-
-(* P8: the whole static-analysis pipeline (model lint, interval
-   fixpoint, concurrency, MISRA over the generated units) on the servo
-   controller — the cost of one `ecsd check` *)
-let bench_check =
-  let built = Servo_system.build () in
-  Test.make ~name:"P8 static analysis: ecsd check (servo)"
-    (Staged.stage (fun () ->
-         ignore
-           (Check.run ~project:built.Servo_system.project
-              built.Servo_system.controller)))
-
-(* P9: one SIL step — the interpreted generated servo application
-   (servo_step plus the exchange-buffer reads) against P1's MIL step *)
-let bench_sil =
-  let built = Servo_system.build () in
-  let comp = Compile.compile built.Servo_system.controller in
-  let app =
-    Silvm_app.create ~engine:`Interp ~name:"servo"
-      ~project:built.Servo_system.project comp
-  in
-  Silvm_app.initialize app;
-  Silvm_app.set_sensor app 0 2048;
-  Silvm_app.set_sensor app 1 0;
-  Test.make ~name:"P9 SIL interpreter step (servo generated app)"
-    (Staged.stage (fun () ->
-         Silvm_app.step app;
-         ignore (Silvm_app.actuator app 0)))
-
-(* P13: the same step through the closure-compiled engine *)
-let bench_sil_compiled =
-  let built = Servo_system.build () in
-  let comp = Compile.compile built.Servo_system.controller in
-  let app =
-    Silvm_app.create ~engine:`Compiled ~name:"servo"
-      ~project:built.Servo_system.project comp
-  in
-  Silvm_app.initialize app;
-  Silvm_app.set_sensor app 0 2048;
-  Silvm_app.set_sensor app 1 0;
-  Test.make ~name:"P13 SIL compiled step (servo generated app)"
-    (Staged.stage (fun () ->
-         Silvm_app.step app;
-         ignore (Silvm_app.actuator app 0)))
-
-(* P7: sustained MIL throughput with probes on, measured wall-clock and
-   recorded — with the metrics layer — into BENCH_perf.json, the
-   machine-readable perf trajectory of the repo. ECSD_BENCH_STEPS
-   overrides the step count; ECSD_BENCH_QUICK=1 shrinks everything to a
-   CI smoke run. *)
+(* P7-P15: performance of the environment itself, measured wall-clock
+   and recorded — with the metrics layer — into BENCH_perf.json, the
+   machine-readable perf trajectory of the repo. P7 is sustained MIL
+   throughput with probes on; ECSD_BENCH_STEPS overrides its step count.
+   ECSD_BENCH_QUICK=1 shrinks everything to a CI smoke run. *)
 
 let quick () =
   match Sys.getenv_opt "ECSD_BENCH_QUICK" with
@@ -204,10 +84,9 @@ let bench_json () =
       /. diff_report.Silvm_diff.sil_seconds
     else 0.0
   in
-  (* P10: fault-injection hook overhead — the same supervised closed
-     loop stepped with the injector armed (encoder-dropout) and with the
-     hook absent; the gap is what arming costs, the unarmed rate is what
-     merely having the hook point in Sim costs everyone else *)
+  (* P10: fault-injection overhead — the same supervised closed loop
+     stepped with the injector armed (encoder-dropout) on its sensor and
+     duty ports, and unarmed; the gap is what arming costs *)
   let fault_scn =
     match Fault_scenario.find "encoder-dropout" with
     | Ok s -> s
@@ -609,41 +488,6 @@ let bench_json () =
 
 let run () =
   print_endline "==================================================================";
-  print_endline "P1-P6, P8-P9: environment performance (bechamel, ns per run)";
+  print_endline "P7-P15: environment performance (BENCH_perf.json)";
   print_endline "==================================================================";
-  let tests =
-    Test.make_grouped ~name:"perf" ~fmt:"%s %s"
-      [ bench_mil; bench_machine; bench_codegen; bench_comm; bench_pid_float;
-        bench_pid_fixed; bench_pil; bench_check; bench_sil;
-        bench_sil_compiled ]
-  in
-  let cfg =
-    Benchmark.cfg ~limit:1500
-      ~quota:(Time.second (if quick () then 0.05 else 0.4))
-      ~kde:(Some 500) ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
-  let t = Table.create [ "benchmark"; "time/run"; "runs/s" ] in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some [ ns ] ->
-          Table.add_row t
-            [
-              name;
-              (if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-               else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-               else Printf.sprintf "%.0f ns" ns);
-              Printf.sprintf "%.3g" (1e9 /. ns);
-            ]
-      | _ -> Table.add_row t [ name; "n/a"; "n/a" ])
-    rows;
-  Table.print ~align:[ Table.Left; Table.Right; Table.Right ] t;
-  print_newline ();
   bench_json ()

@@ -26,11 +26,19 @@ let probe_buf_push pb t v =
   pb.pb_v.(pb.pb_len) <- v;
   pb.pb_len <- pb.pb_len + 1
 
+(* What stands between a block's output and the signal it drives: the
+   value passes, a held value replaces it ([override_output]), or a
+   function of time and value perturbs it ([perturb_output]). *)
+type interpose =
+  | Pass
+  | Hold of Value.t
+  | Perturb of (float -> Value.t -> Value.t)
+
 type t = {
   comp : Compile.t;
   behs : Block.beh array;
   signals : Value.t array array;
-  overrides : Value.t option array array;
+  interpose : interpose array array;
   srcs : (Model.blk * int) array array;
   mutable now : float;
   mutable nstep : int;
@@ -44,10 +52,6 @@ type t = {
          [Model.group_index] — replaces the List.assoc_opt lookup that
          used to sit on every event dispatch *)
   group_counters : Obs.counter array;  (* same indexing *)
-  mutable fault_hook :
-    (time:float -> Model.blk * int -> Value.t -> Value.t) option;
-      (* fault-injection perturbation applied to every written output
-         port (after overrides); None = unarmed, near-zero cost *)
 }
 
 (* process-wide engine metrics *)
@@ -66,18 +70,14 @@ let write_outputs t b outs =
       (Printf.sprintf "block %s returned %d outputs, expected %d"
          (Model.block_name t.comp.Compile.model b)
          (Array.length outs) spec.Block.n_out);
-  Array.iteri
-    (fun p v ->
-      let v =
-        match t.overrides.(bi b).(p) with Some ov -> ov | None -> v
-      in
-      let v =
-        match t.fault_hook with
-        | None -> v
-        | Some h -> h ~time:t.now (b, p) v
-      in
-      t.signals.(bi b).(p) <- v)
-    outs
+  let cells = t.interpose.(bi b) and sigs = t.signals.(bi b) in
+  for p = 0 to spec.Block.n_out - 1 do
+    sigs.(p) <-
+      (match cells.(p) with
+      | Pass -> outs.(p)
+      | Hold v -> v
+      | Perturb f -> f t.now outs.(p))
+  done
 
 let rec exec_group t g =
   let gi = Model.group_index g in
@@ -104,14 +104,14 @@ let create ?(solver = Ode.Rk4) ?(solver_substeps = 1) comp =
   let m = comp.Compile.model in
   let n = Model.n_blocks m in
   let signals = Array.make n [||] in
-  let overrides = Array.make n [||] in
+  let interpose = Array.make n [||] in
   List.iter
     (fun b ->
       let spec = Model.spec_of m b in
       signals.(bi b) <-
         Array.init spec.Block.n_out (fun p ->
             Value.zero comp.Compile.out_types.(bi b).(p));
-      overrides.(bi b) <- Array.make spec.Block.n_out None)
+      interpose.(bi b) <- Array.make spec.Block.n_out Pass)
     (Model.blocks m);
   let t_ref = ref None in
   let behs = Array.make n Block.no_beh_state in
@@ -166,7 +166,7 @@ let create ?(solver = Ode.Rk4) ?(solver_substeps = 1) comp =
       comp;
       behs;
       signals;
-      overrides;
+      interpose;
       srcs = Compile.signal_sources comp;
       now = 0.0;
       nstep = 0;
@@ -177,7 +177,6 @@ let create ?(solver = Ode.Rk4) ?(solver_substeps = 1) comp =
       solver_substeps;
       group_exec;
       group_counters;
-      fault_hook = None;
     }
   in
   t_ref := Some t;
@@ -346,9 +345,13 @@ let trace t (b, p) =
 let trace_named t name p = trace t (Model.find t.comp.Compile.model name, p)
 
 let override_output t (b, p) v =
-  t.overrides.(bi b).(p) <- v;
-  match v with Some v -> t.signals.(bi b).(p) <- v | None -> ()
+  match v with
+  | Some v ->
+      t.interpose.(bi b).(p) <- Hold v;
+      t.signals.(bi b).(p) <- v
+  | None -> t.interpose.(bi b).(p) <- Pass
 
-let set_fault_hook t h = t.fault_hook <- h
+let perturb_output t (b, p) f =
+  t.interpose.(bi b).(p) <- (match f with Some f -> Perturb f | None -> Pass)
 
 let step_events t = t.events_this_step

@@ -7,7 +7,13 @@
     continuous subgraph, with discrete outputs held — Simulink fixed-step
     semantics). Events fired by blocks execute their function-call group
     immediately and atomically, reproducing the event-driven tasks of the
-    paper's execution model (§5). *)
+    paper's execution model (§5).
+
+    Every output port has one interposition slot between the value its
+    block computes and the signal it drives: pass-through, a held value
+    ({!override_output}) or a perturbation ({!perturb_output}). Harnesses
+    and fault campaigns attach to the ports they drive; nothing else
+    sits on the write path. *)
 
 type t
 
@@ -53,14 +59,13 @@ val override_output : t -> Model.blk * int -> Value.t option -> unit
     the model sees the raw words the generated code reads from its PIL
     exchange buffer; PIL and HIL run that generated code itself. *)
 
-val set_fault_hook :
-  t -> (time:float -> Model.blk * int -> Value.t -> Value.t) option -> unit
-(** Install (or clear, with [None]) a fault-injection hook: a perturbation
-    applied to every output-port value as it is written (after
-    {!override_output} overrides). Unarmed, the hook costs one option
-    check per port write. This is the MIL attachment point of the fault
-    campaign subsystem — the hook decides per (block, port) whether and
-    how to corrupt the sample. *)
+val perturb_output :
+  t -> Model.blk * int -> (float -> Value.t -> Value.t) option -> unit
+(** Pass every value written to an output port through [f time value]
+    ([time] is the major-step time, also in minor passes), or stop with
+    [None]. This is where the fault campaign attaches its sensor and
+    duty perturbations. A port carries one interposition: setting a
+    perturbation or an override replaces the other. *)
 
 val step_events : t -> int
 (** Number of events fired during the last major step. *)

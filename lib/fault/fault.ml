@@ -52,21 +52,6 @@ let active f ~time =
   | None -> time < f.at +. f.duration
   | Some p -> Float.rem (time -. f.at) p < f.duration
 
-(* The window edges below are the exact float expressions [active]
-   compares against, so a cached activity decision is valid for every
-   [time'] in [time, next_transition) — no rounding slack. Periodic
-   faults answer [time] ("revalidate at every new instant"): deriving
-   their next edge needs arithmetic that can land one ulp off the
-   [Float.rem] the predicate uses, and a one-step-late fault arming is
-   exactly the kind of silent semantic drift campaigns must not have. *)
-let next_transition f ~time =
-  match f.every with
-  | Some _ -> time
-  | None ->
-      if time < f.at then f.at
-      else if time < f.at +. f.duration then f.at +. f.duration
-      else infinity
-
 let kind_name = function
   | Sensor_stuck -> "sensor-stuck"
   | Sensor_offset n -> Printf.sprintf "sensor-offset(%+d)" n

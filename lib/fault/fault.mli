@@ -48,14 +48,6 @@ val active : t -> time:float -> bool
 (** Whether the fault's window covers [time] (any occurrence, for
     periodic faults). *)
 
-val next_transition : t -> time:float -> float
-(** The earliest instant at which {!active}'s answer for times after
-    [time] may change: the exact window edge for a one-shot fault
-    ([infinity] once it has cleared for good), or [time] itself for a
-    periodic fault — meaning "revalidate at every new instant". The
-    injector's hot-path cache is built on the guarantee that the answer
-    is constant over [\[time, next_transition)]. *)
-
 val kind_name : kind -> string
 val name : t -> string
 (** Human-readable identity, e.g. ["sensor-dropout@0 [0.9,1.05)"] — used

@@ -37,14 +37,40 @@ type result = {
   wall_s : float;
 }
 
+(* The injector sits on the two boundary ports it perturbs: each
+   sensor slot's raw code and the commanded duty. *)
 let arm subject ?seed scn =
   let inj = Fault_inject.arm ?seed scn in
-  Sim.set_fault_hook subject.sim
-    (Fault_inject.sim_hook inj ~sensor_ports:subject.ports.sensor_ports
-       ?duty_port:subject.ports.duty_port ());
+  if scn.Fault_scenario.faults <> [] then begin
+    Array.iteri
+      (fun slot port ->
+        Sim.perturb_output subject.sim port
+          (Some
+             (fun time v ->
+               match v with
+               | Value.I (dt, c) ->
+                   Value.of_int dt (Fault_inject.sensor inj ~slot ~time c)
+               | v -> v)))
+      subject.ports.sensor_ports;
+    Option.iter
+      (fun port ->
+        Sim.perturb_output subject.sim port
+          (Some
+             (fun time v ->
+               match v with
+               | Value.F u -> Value.F (Fault_inject.duty inj ~time u)
+               | v -> v)))
+      subject.ports.duty_port
+  end;
   inj
 
-let disarm subject = Sim.set_fault_hook subject.sim None
+let disarm subject =
+  Array.iter
+    (fun port -> Sim.perturb_output subject.sim port None)
+    subject.ports.sensor_ports;
+  Option.iter
+    (fun port -> Sim.perturb_output subject.sim port None)
+    subject.ports.duty_port
 
 let one_run subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
   Sim.reset subject.sim;
@@ -128,14 +154,6 @@ let one_run subject ~scenario ~seed ~steps ~period ~t_end ~wdog_timeout =
     residual_rms = sqrt (!sq /. float_of_int tail);
     wdog_bites;
   }
-
-(* wall_s is the one timing-dependent field of the campaign document;
-   ECSD_WALL_ZERO=1 zeroes it so CI can assert a --jobs N report
-   byte-identical to the --jobs 1 one with plain cmp. *)
-let wall s =
-  match Sys.getenv_opt "ECSD_WALL_ZERO" with
-  | None | Some "" -> s
-  | Some _ -> 0.0
 
 (* One supervised (or raw) per-seed run. Without a policy the run is
    executed bare and any exception propagates — the historical abort
@@ -221,7 +239,9 @@ let campaign ?pool ~t_end ~seeds ?wdog_timeout ?on_run ?policy ~scenario first
         | _ -> ());
         (seed, o))
   in
-  let wall_s = wall ((Obs.now_ns () -. t0) *. 1e-9) in
+  (* wall_s is the report's one timing-dependent field; ECSD_WALL_ZERO
+     zeroes it so reports compare byte-wise across --jobs *)
+  let wall_s = Telemetry.wall ((Obs.now_ns () -. t0) *. 1e-9) in
   merge ~scenario ~t_end ~period ~steps ~wall_s (Array.to_list outcomes)
 
 let run ?(t_end = 2.0) ?(seeds = 5) ?wdog_timeout ?on_run ?policy ~scenario

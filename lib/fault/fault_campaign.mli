@@ -55,10 +55,12 @@ type result = {
 }
 
 val arm : subject -> ?seed:int -> Fault_scenario.t -> Fault_inject.t
-(** Install an injector on the subject's simulation (outside a campaign —
-    e.g. for a one-off faulted run). *)
+(** Install an injector on the subject's sensor and duty ports (outside a
+    campaign — e.g. for a one-off faulted run). An empty scenario
+    installs nothing. *)
 
 val disarm : subject -> unit
+(** Clear the sensor and duty ports' perturbations. *)
 
 val run :
   ?t_end:float ->
@@ -112,8 +114,8 @@ val run_parallel :
 
 val throughput : ?scenario:Fault_scenario.t -> steps:int -> subject -> float
 (** Steps per second over a fresh run, armed with [scenario] when given
-    and unarmed otherwise — the P10 bench measuring the injection
-    hooks' overhead. *)
+    and unarmed otherwise — the P10 bench measuring what arming
+    costs. *)
 
 val all_detected : result -> bool
 val all_recovered : result -> bool

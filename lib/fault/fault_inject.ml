@@ -12,17 +12,12 @@ type t = {
   sd : int;
   rng : int64 ref;
   last : (int, int) Hashtbl.t;  (* slot -> last clean code, for stuck *)
-  (* Active-set cache: the scenario-ordered sublist of faults whose
-     window covers [cache_time], valid for every query time in
-     [cache_time, cache_until). With one-shot faults (all the builtin
-     scenarios) the cache survives whole quiescent or steady-active
-     stretches; a periodic fault collapses [cache_until] to [cache_time],
-     i.e. a per-instant memo — still one filter per step instead of one
-     per port write, since the engine calls the hook with a constant
-     time within a step. *)
-  mutable cache_time : float;
-  mutable cache_until : float;
-  mutable cache_active : Fault.t list;
+  (* The scenario-ordered sublist of faults active at [memo_time]. A
+     step queries the injector several times at one instant (sensor,
+     duty, overrun, watchdog), so the window scan runs once per new
+     query time. *)
+  mutable memo_time : float;
+  mutable memo_active : Fault.t list;
 }
 
 let arm ?(seed = 1) scn =
@@ -34,10 +29,8 @@ let arm ?(seed = 1) scn =
     sd = seed;
     rng = ref (Int64.of_int (0x5DEECE66D + (seed * 0x9E3779B9)));
     last = Hashtbl.create 4;
-    cache_time = nan;  (* nan compares false to everything: first
-                          query always recomputes *)
-    cache_until = nan;
-    cache_active = [];
+    memo_time = nan;  (* nan equals nothing: the first query computes *)
+    memo_active = [];
   }
 
 let scenario t = t.scn
@@ -62,44 +55,30 @@ let rand_pm t n =
   if n <= 0 then 0
   else int_of_float (uniform01 t *. float_of_int ((2 * n) + 1)) - n
 
-(* [List.filter] preserves scenario order, so folding the cached
-   sublist applies faults — and advances the RNG — in exactly the same
-   sequence as filtering inline did: seeded replays are unaffected. *)
-let refresh t ~time =
-  if not (time = t.cache_time || (time > t.cache_time && time < t.cache_until))
-  then begin
-    let faults = t.scn.Fault_scenario.faults in
-    let prev = t.cache_active in
-    t.cache_active <- List.filter (fun fl -> Fault.active fl ~time) faults;
-    t.cache_time <- time;
-    t.cache_until <-
-      List.fold_left
-        (fun acc fl -> Float.min acc (Fault.next_transition fl ~time))
-        infinity faults;
-    (* fire/clear transitions are exactly the active-set edges; rare, so
-       the recorder work (and Fault.name's allocation) stays off the
-       steady-state path *)
-    if Flight.enabled () && t.cache_active != prev then begin
+(* [List.filter] preserves scenario order, so folding the memoised
+   sublist applies faults — and advances the RNG — in scenario order. *)
+let fold_active t ~time f init =
+  if time <> t.memo_time then begin
+    let prev = t.memo_active in
+    t.memo_active <-
+      List.filter (fun fl -> Fault.active fl ~time) t.scn.Fault_scenario.faults;
+    t.memo_time <- time;
+    (* fire/clear transitions are the active-set edges; [!=] skips the
+       scan while nothing is active *)
+    if Flight.enabled () && t.memo_active != prev then begin
       List.iter
         (fun fl ->
           if not (List.memq fl prev) then
             Flight.fault ~time ~fired:true (Fault.name fl))
-        t.cache_active;
+        t.memo_active;
       List.iter
         (fun fl ->
-          if not (List.memq fl t.cache_active) then
+          if not (List.memq fl t.memo_active) then
             Flight.fault ~time ~fired:false (Fault.name fl))
         prev
     end
-  end
-
-let quiescent t ~time =
-  refresh t ~time;
-  t.cache_active = []
-
-let fold_active t ~time f init =
-  refresh t ~time;
-  List.fold_left f init t.cache_active
+  end;
+  List.fold_left f init t.memo_active
 
 let sensor t ~slot ~time v =
   let stuck = ref false in
@@ -169,41 +148,3 @@ let wdog_suppressed t ~time =
   s
 
 let active_names t ~time = Fault_scenario.active_names t.scn ~time
-
-let sim_hook t ~sensor_ports ?duty_port () =
-  if t.scn.Fault_scenario.faults = [] then None
-  else begin
-    let key (b, p) = (Model.blk_index b, p) in
-    let sensors = Hashtbl.create 4 in
-    Array.iteri
-      (fun slot bp -> Hashtbl.replace sensors (key bp) slot)
-      sensor_ports;
-    let dk = Option.map key duty_port in
-    (* Sensor_stuck freezes at the last value [sensor] returned while
-       the fault was inactive, so slots carrying a stuck fault must keep
-       flowing through [sensor] even in quiescent stretches to refresh
-       [t.last]. Scenarios without stuck faults take the cheap exit: one
-       cached-window check per write instead of a fold plus a hashtable
-       probe — this is where the armed-campaign overhead was going. *)
-    let track_stuck =
-      List.exists
-        (fun fl -> fl.Fault.kind = Fault.Sensor_stuck)
-        t.scn.Fault_scenario.faults
-    in
-    Some
-      (fun ~time bp v ->
-        if (not track_stuck) && quiescent t ~time then v
-        else
-          let k = key bp in
-          match Hashtbl.find_opt sensors k with
-          | Some slot -> (
-              match v with
-              | Value.I (dt, c) -> Value.of_int dt (sensor t ~slot ~time c)
-              | v -> v)
-          | None -> (
-              if dk <> Some k then v
-              else
-                match v with
-                | Value.F u -> Value.F (duty t ~time u)
-                | v -> v))
-  end

@@ -5,17 +5,11 @@
     One injector = one armed run. All randomness (noise amplitudes,
     glitch occurrences) comes from a SplitMix64 stream derived from the
     seed, so a campaign run is replayed exactly by re-arming with the
-    same seed. The injector itself is engine-agnostic: the MIL engine
-    attaches it through {!sim_hook}, the SIL/PIL harnesses call
-    {!sensor} / {!overrun_cycles} / {!wdog_suppressed} directly.
-
-    The per-query activity scan is hoisted out of the hot path: the
-    injector caches the scenario-ordered active sublist together with
-    the exact window edge ({!Fault.next_transition}) up to which it
-    stays valid, so an armed run pays one filter per window transition
-    (one-shot faults) or per step (periodic faults) instead of one
-    fold over the whole scenario per port write. The cache changes
-    neither results nor the RNG stream. *)
+    same seed. The injector itself is engine-agnostic: a MIL campaign
+    attaches {!sensor} and {!duty} to the sensor and duty ports with
+    {!Sim.perturb_output}, and every harness asks {!overrun_cycles} and
+    {!wdog_suppressed} once per step. The queries of one instant share
+    one scan of the fault windows. *)
 
 type t
 
@@ -43,14 +37,3 @@ val wdog_suppressed : t -> time:float -> bool
 (** Whether the watchdog service call is lost at [time]. *)
 
 val active_names : t -> time:float -> string list
-
-val sim_hook :
-  t ->
-  sensor_ports:(Model.blk * int) array ->
-  ?duty_port:Model.blk * int ->
-  unit ->
-  (time:float -> Model.blk * int -> Value.t -> Value.t) option
-(** Build the perturbation function for {!Sim.set_fault_hook}:
-    [sensor_ports.(slot)] is the output port carrying sensor slot
-    [slot]'s raw code, [duty_port] the commanded duty. Returns [None]
-    for an empty scenario (nothing to arm). *)

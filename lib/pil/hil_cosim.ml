@@ -24,10 +24,20 @@ type result = {
 (* plant/peripheral coupling sub-steps per control period *)
 let substeps = 16
 
-let run ?(preemptive = false) ?(button = fun _ -> false) ?(background_load = 0.0)
-    ?watchdog ?(overrun_inject = fun _ -> 0) ~mcu ~app ~plant ~advance ~angle_of
-    ~observe ~encoder ~periods () =
+let servo_run ?(preemptive = false) ?(button = fun _ -> false)
+    ?(background_load = 0.0) ?watchdog ?(overrun_inject = fun _ -> 0)
+    ~built_mcu:mcu ~app ~motor ~load ~encoder ~periods () =
   Obs.span "hil.run" @@ fun () ->
+  (* the plant: DC motor behind an ideal power stage *)
+  let stage = Power_stage.ideal ~u_supply:motor.Dc_motor.u_max in
+  let state = ref Dc_motor.initial in
+  let time = ref 0.0 in
+  let advance ~dt ~duty =
+    let u = Power_stage.output_voltage stage ~duty ~i:!state.Dc_motor.i in
+    let tau = Load_profile.torque load ~time:!time ~w:!state.Dc_motor.w in
+    state := Dc_motor.step motor ~u ~tau_load:tau ~h:dt !state;
+    time := !time +. dt
+  in
   let schedule = Silvm_app.schedule app in
   let m = (Silvm_app.compiled app).Compile.model in
   let machine = Machine.create ~preemptive ~base_stack:96 mcu in
@@ -39,7 +49,7 @@ let run ?(preemptive = false) ?(button = fun _ -> false) ?(background_load = 0.0
   | Ok sol ->
       Timer_periph.configure timer ~prescaler:sol.Expert.prescaler
         ~modulo:sol.Expert.modulo
-  | Error e -> invalid_arg ("Hil_cosim.run: " ^ e));
+  | Error e -> invalid_arg ("Hil_cosim.servo_run: " ^ e));
   let pwm = Pwm_periph.create machine ~channel:0 () in
   (try Pwm_periph.set_frequency pwm ~hz:20e3
    with Invalid_argument _ -> Pwm_periph.set_period_counts pwm 200);
@@ -73,7 +83,7 @@ let run ?(preemptive = false) ?(button = fun _ -> false) ?(background_load = 0.0
     let count =
       match qdec with
       | Some q -> Qdec_periph.read_position q
-      | None -> Encoder.count_of_angle encoder ~theta:(angle_of plant) land 0xFFFF
+      | None -> Encoder.count_of_angle encoder ~theta:!state.Dc_motor.theta land 0xFFFF
     in
     List.iter (fun slot -> Silvm_app.set_sensor app slot count) qdec_slots;
     let pressed = if button (Machine.now machine) then 1 else 0 in
@@ -132,15 +142,22 @@ let run ?(preemptive = false) ?(button = fun _ -> false) ?(background_load = 0.0
     for i = 0 to substeps - 1 do
       let t = (float_of_int k *. period) +. (float_of_int i *. slice) in
       Machine.run_until_time machine t;
-      advance plant ~dt:slice ~duty:(Pwm_periph.duty_ratio pwm);
+      advance ~dt:slice ~duty:(Pwm_periph.duty_ratio pwm);
       (match qdec with
       | Some q ->
           Qdec_periph.set_true_count q
-            (Encoder.count_of_angle encoder ~theta:(angle_of plant))
+            (Encoder.count_of_angle encoder ~theta:!state.Dc_motor.theta)
       | None -> ())
     done;
     Machine.run_until_time machine (float_of_int (k + 1) *. period);
-    trace := (float_of_int (k + 1) *. period, observe plant) :: !trace;
+    trace :=
+      ( float_of_int (k + 1) *. period,
+        [
+          ("speed", !state.Dc_motor.w);
+          ("theta", !state.Dc_motor.theta);
+          ("current", !state.Dc_motor.i);
+        ] )
+      :: !trace;
     Obs.span_end ()
   done;
   let st = Machine.stats_of machine ctrl_irq in
@@ -172,26 +189,3 @@ let run ?(preemptive = false) ?(button = fun _ -> false) ?(background_load = 0.0
       };
     trace = List.rev !trace;
   }
-
-let servo_run ?preemptive ?button ?background_load ?watchdog ?overrun_inject
-    ~built_mcu ~app ~motor ~load ~encoder ~periods () =
-  let stage = Power_stage.ideal ~u_supply:motor.Dc_motor.u_max in
-  let state = ref Dc_motor.initial in
-  let time = ref 0.0 in
-  let advance (_ : Dc_motor.state) ~dt ~duty =
-    let u = Power_stage.output_voltage stage ~duty ~i:!state.Dc_motor.i in
-    let tau = Load_profile.torque load ~time:!time ~w:!state.Dc_motor.w in
-    state := Dc_motor.step motor ~u ~tau_load:tau ~h:dt !state;
-    time := !time +. dt
-  in
-  run ?preemptive ?button ?background_load ?watchdog ?overrun_inject
-    ~mcu:built_mcu ~app ~plant:!state
-    ~advance:(fun _ ~dt ~duty -> advance !state ~dt ~duty)
-    ~angle_of:(fun _ -> !state.Dc_motor.theta)
-    ~observe:(fun _ ->
-      [
-        ("speed", !state.Dc_motor.w);
-        ("theta", !state.Dc_motor.theta);
-        ("current", !state.Dc_motor.i);
-      ])
-    ~encoder ~periods ()

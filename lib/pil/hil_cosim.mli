@@ -16,9 +16,8 @@
     exchange words stand in for them. The remaining gap to silicon is
     the block-level cycle cost model.
 
-    The rig is shaped for the paper's servo case study (PWM out,
-    quadrature + button in); the coupling callbacks keep the plant model
-    generic. *)
+    The rig is the paper's servo case study: PWM out, quadrature and
+    button in, a DC motor as the plant. *)
 
 type profile = {
   periods : int;
@@ -38,34 +37,6 @@ type result = {
   trace : (float * (string * float) list) list;
 }
 
-val run :
-  ?preemptive:bool ->
-  ?button:(float -> bool) ->
-  ?background_load:float ->
-  ?watchdog:float ->
-  ?overrun_inject:(int -> int) ->
-  mcu:Mcu_db.t ->
-  app:Silvm_app.t ->
-  plant:'p ->
-  advance:('p -> dt:float -> duty:float -> unit) ->
-  angle_of:('p -> float) ->
-  observe:('p -> (string * float) list) ->
-  encoder:Encoder.t ->
-  periods:int ->
-  unit ->
-  result
-(** Run [periods] control periods of [app] (initialised first, as the
-    target boots). The plant and peripherals couple on 16 sub-steps per control
-    period. [background_load] (default 0) adds a
-    competing background ISR consuming that fraction of the CPU, for
-    stress runs. [watchdog] arms a {!Wdog_periph} with that timeout; the
-    control step refreshes it exactly as generated code calls
-    [WD1_Clear], so starved steps show up as bites. [overrun_inject]
-    returns extra CPU cycles charged to the given period's control step
-    — a fault-injection tap (default inactive).
-    @raise Invalid_argument when the timer bean's period is unattainable
-    on the MCU. *)
-
 val servo_run :
   ?preemptive:bool ->
   ?button:(float -> bool) ->
@@ -80,4 +51,17 @@ val servo_run :
   periods:int ->
   unit ->
   result
-(** The case-study instantiation: DC motor + ideal power stage. *)
+(** Run [periods] control periods of [app] (initialised first, as the
+    target boots) against a DC motor behind an ideal power stage, under
+    the shaft [load]. The plant and peripherals couple on 16 sub-steps
+    per control period; the trace records [speed], [theta] and
+    [current] at the end of each period. [button] is the button pin's
+    level over time (default released). [background_load] (default 0)
+    adds a competing background ISR consuming that fraction of the CPU,
+    for stress runs. [watchdog] arms a {!Wdog_periph} with that timeout;
+    the control step refreshes it exactly as generated code calls
+    [WD1_Clear], so starved steps show up as bites. [overrun_inject]
+    returns extra CPU cycles charged to the given period's control step
+    — a fault-injection tap (default inactive).
+    @raise Invalid_argument when the timer bean's period is unattainable
+    on [built_mcu]. *)

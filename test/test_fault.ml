@@ -192,10 +192,10 @@ let test_injector_determinism () =
   Alcotest.(check (float 1e-12)) "saturation passes small" 0.1
     (Fault_inject.duty sat ~time:0.5 0.1)
 
-(* the injector memoizes the active sublist per window; every answer
-   must still match the Fault.active predicate — across one-shot and
-   periodic windows, and after non-monotonic queries (each campaign run
-   rewinds time to zero) *)
+(* the injector memoizes the active sublist per query time; every
+   answer must still match the Fault.active predicate — across one-shot
+   and periodic windows, and after non-monotonic queries (each campaign
+   run rewinds time to zero) *)
 let test_injector_cache_equivalence () =
   let f1 = Fault.make ~at:0.2 ~duration:0.2 (Fault.Sensor_offset 10) in
   let f2 =
@@ -217,29 +217,14 @@ let test_injector_cache_equivalence () =
       (expected time)
       (Fault_inject.sensor inj ~slot:0 ~time 1000)
   done;
-  (* rewinding time must invalidate the cached window *)
+  (* a rewound query time recomputes the active set *)
   check_int "rewound inside the one-shot window" 1010
     (Fault_inject.sensor inj ~slot:0 ~time:0.3 1000);
   check_int "rewound before every onset" 1000
-    (Fault_inject.sensor inj ~slot:0 ~time:0.0 1000);
-  (* next_transition edges are the exact float window bounds *)
-  Alcotest.(check (float 0.0)) "edge: onset" 0.2
-    (Fault.next_transition f1 ~time:0.1);
-  Alcotest.(check (float 0.0)) "edge: clear" (0.2 +. 0.2)
-    (Fault.next_transition f1 ~time:0.25);
-  check_bool "edge: gone for good" true
-    (Fault.next_transition f1 ~time:0.5 = infinity);
-  Alcotest.(check (float 0.0)) "periodic: revalidate every instant" 0.3
-    (Fault.next_transition f2 ~time:0.3)
+    (Fault_inject.sensor inj ~slot:0 ~time:0.0 1000)
 
 let test_unarmed_identity () =
-  (* an empty scenario arms nothing at all *)
-  check_bool "empty scenario installs no hook" true
-    (Fault_inject.sim_hook
-       (Fault_inject.arm (scn []))
-       ~sensor_ports:[||] ()
-    = None);
-  (* a hook whose windows never open must not perturb the trace *)
+  (* a perturbation whose windows never open must not change the trace *)
   let final_speed armed =
     let scenario =
       scn [ Fault.make ~at:10.0 ~duration:0.1 Fault.Sensor_dropout ]
@@ -256,6 +241,49 @@ let test_unarmed_identity () =
   in
   let w_off = final_speed false and w_on = final_speed true in
   check_bool "armed-but-idle hook is bit-identical" true (w_off = w_on)
+
+(* The injector sits on the sensor and duty ports only, so an armed
+   step allocates like an unarmed one — also inside the fault window —
+   and an empty scenario installs nothing at all. *)
+let test_armed_allocation () =
+  let dropout =
+    match Fault_scenario.find "encoder-dropout" with
+    | Ok s -> s
+    | Error e -> failwith e
+  in
+  let steps = 2000 in
+  let run scenario armed =
+    let subject, _ = Servo_system.faultsim_subject ~scenario () in
+    let sim = subject.Fault_campaign.sim in
+    if armed then ignore (Fault_campaign.arm subject ~seed:1 scenario)
+    else Fault_campaign.disarm subject;
+    (* warm up, then measure through the window at 0.9-1.05 s *)
+    for _ = 1 to 200 do
+      Sim.step sim
+    done;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to steps do
+      Sim.step sim
+    done;
+    let words = (Gc.minor_words () -. w0) /. float_of_int steps in
+    let speed =
+      Value.to_float
+        (Sim.value sim subject.Fault_campaign.ports.Fault_campaign.speed_port)
+    in
+    (words, speed)
+  in
+  let unarmed_words, _ = run dropout false in
+  let armed_words, _ = run dropout true in
+  check_bool
+    (Printf.sprintf "armed %.0f words/step <= unarmed %.0f + 64" armed_words
+       unarmed_words)
+    true
+    (armed_words <= unarmed_words +. 64.0);
+  let off_words, off_speed = run (scn []) false in
+  let on_words, on_speed = run (scn []) true in
+  Alcotest.(check (float 0.0)) "empty scenario: words per step" off_words
+    on_words;
+  check_bool "empty scenario: final speed" true (off_speed = on_speed)
 
 (* ---- recovery campaigns on the servo loop ---- *)
 
@@ -556,4 +584,6 @@ let suite =
     Alcotest.test_case "HIL watchdog bites under injected overruns" `Quick
       test_hil_wdog_under_injected_overruns;
     Alcotest.test_case "CON004 watchdog service path" `Quick test_con004;
+    Alcotest.test_case "armed step allocates like unarmed" `Quick
+      test_armed_allocation;
   ]
